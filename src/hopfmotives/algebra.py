@@ -601,27 +601,35 @@ class Bialgebra(Algebra):
                                               (self.unit_mono, mono): 1})
         return self.coproduct(self.gen(name)) == expected
 
-    def find_grouplikes(self, max_candidates=_GROUPLIKE_BOUND):
-        """All g with counit(g) = 1 and coproduct(g) = g (x) g, exhaustively.
+    def is_grouplike(self, g):
+        return self.coproduct(g) == TensorElement(
+            self, self, {(a, b): ca * cb for a, ca in g.terms.items()
+                         for b, cb in g.terms.items()})
 
-        The unit coordinate of a group-like is forced to 1, so the search
-        space is p^(dim - 1) candidates; refuses above ``max_candidates``.
+    def find_grouplikes(self):
+        """All g with counit(g) = 1 and coproduct(g) = g (x) g, sorted.
+
+        Read off the blocks of the dual (``dual.grouplikes``) when each block
+        carries at most one; otherwise an exhaustive search over the
+        p^(dim - 1) candidates with unit coordinate 1, refused above
+        ``_GROUPLIKE_BOUND``.
         """
+        from .dual import DualAlgebra, characters_are_blockwise, grouplikes
+
+        D = DualAlgebra(self)
+        if characters_are_blockwise(D):
+            return grouplikes(D)
         positive = [m for m in self.basis() if m != self.unit_mono]
         count = self.prime ** len(positive)
-        if count > max_candidates:
-            raise ValueError(
-                f"group-like search over bound ({count} > {max_candidates} candidates)")
+        if count > _GROUPLIKE_BOUND:
+            raise ValueError(f"group-like search over bound "
+                             f"({count} > {_GROUPLIKE_BOUND} candidates)")
         out = []
         for coeffs in itertools.product(range(self.prime), repeat=len(positive)):
             terms = {self.unit_mono: 1}
             terms.update({m: c for m, c in zip(positive, coeffs) if c})
             g = Element(self, terms)
-            gg = TensorElement(self, self,
-                               {(a, b): ca * cb
-                                for a, ca in g.terms.items()
-                                for b, cb in g.terms.items()})
-            if self.coproduct(g) == gg:
+            if self.is_grouplike(g):
                 out.append(g)
         out.sort(key=lambda g: sorted(g.terms.items()))
         return out

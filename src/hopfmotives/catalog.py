@@ -252,7 +252,7 @@ for _a in (1, 2, 3, 4):
               (lambda a: lambda: _k2_typeone(5, a))(_a))
 
 
-_cache = {}
+_cache = {}   # key -> {HOPFMOTIVES_CATALOG_DIR value: verified entry}
 
 
 def _override_path(key):
@@ -312,8 +312,10 @@ def load_object_file(path):
 
 
 def get(key, verify=True):
-    """Build (or load) and verify a catalog entry; results are cached."""
-    cached = _cache.get(key)
+    """Build (or load) and verify a catalog entry.  Only verified entries
+    are cached, per key and per value of HOPFMOTIVES_CATALOG_DIR."""
+    directory = os.environ.get(ENV_DIR)
+    cached = _cache.get(key, {}).get(directory)
     if cached is not None:
         return cached
     path = _override_path(key)
@@ -327,7 +329,7 @@ def get(key, verify=True):
         report = obj.verify()
         if not report:
             raise ValueError(f"catalog entry {key} fails verification: {report}")
-    _cache[key] = obj
+        _cache.setdefault(key, {})[directory] = obj
     return obj
 
 

@@ -340,7 +340,7 @@ def build_parser():
     ip.set_defaults(func=cmd_coinv)
 
     gp = sub.add_parser("grouplikes", parents=[fmt],
-                        help="exhaustive list of group-like elements")
+                        help="all group-like elements")
     gp.add_argument("key")
     gp.set_defaults(func=cmd_grouplikes)
     return ap

@@ -8,121 +8,31 @@ is how blocks get their names: the unique block whose idempotent evaluates
 to 1 on 1_H is the Tate block, and every one-dimensional block is evaluation
 at some group-like.
 
-``decompose`` finds the block (central primitive idempotent) decomposition:
+``decompose`` finds the block (central primitive idempotent) decomposition
+by Berlekamp's fixed-space method applied to the centre (Friedl--Ronyai):
 
-* fast path -- some dual-basis functional generates H^dual, its minimal
-  polynomial factors by exhaustive trial division, and the factor CRT yields
-  the idempotents;
-* fallback -- enumerate all of F_p^dim, keep the central idempotents, and
-  take the minimal ones; refuses politely above ``max_candidates``.
+1. the centre Z of H^dual is the kernel of the commutators with the dual
+   basis;
+2. on the commutative Z, Frobenius z -> z^p is F_p-linear, and its fixed
+   space is spanned by the block idempotents;
+3. the Lagrange idempotents 1 - (s - c)^(p-1) of a basis of that space split
+   the unit into the block idempotents.
 
-Univariate polynomials over F_p are plain coefficient lists (ascending,
-normalized); the factorizer walks monic divisors in (degree, coefficient)
-order, so factor lists are deterministic.
+Every step is polynomial in dim H; nothing is enumerated or factored.
+
+``grouplikes`` reads the group-likes of H, the characters of H^dual, off the
+blocks: on a block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K
+is at least the block's dimension.  A block carries at most one character
+when H is cocommutative (H^dual is commutative) or connected graded (H^dual
+is local); ``Bialgebra.find_grouplikes`` uses this route exactly then.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import _linalg
-
-_DECOMPOSE_BOUND = 2_000_000
-
-
-# -- univariate polynomials over F_p (ascending coefficient lists) ------------
-
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [x % p for x in a]
-    inv = pow(b[-1], -1, p)
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c = a[i + len(b) - 1] * inv % p
-        if c:
-            quot[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return _ptrim(quot), _ptrim(a)
-
-
-def pmonic(a, p):
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
-
-
-def pegcd(a, b, p):
-    """(g, s, t) with s a + t b = g, g monic."""
-    r0, r1 = [x % p for x in a], [x % p for x in b]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while _ptrim(list(r1)):
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
-                             itertools.zip_longest(s0, pmul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _ptrim([(x - y) % p for x, y in
-                             itertools.zip_longest(t0, pmul(q, t1, p), fillvalue=0)])
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    scale = lambda v: [x * inv % p for x in v]
-    return scale(r0), scale(s0), scale(t0)
-
-
-def factor_poly(a, p):
-    """Irreducible factorization by trial division, smallest divisors first.
-
-    Monic candidates are tried in (degree, ascending coefficient tuple)
-    order, so the result, a list of (monic factor, multiplicity), is unique
-    and deterministic.  The constant leading unit is discarded.
-    """
-    a = pmonic([x % p for x in a], p)
-    if len(a) <= 1:
-        raise ValueError("cannot factor a constant polynomial")
-    factors = []
-    d = 1
-    while len(a) > 1:
-        if d > (len(a) - 1) // 2:
-            # no divisor of degree <= deg/2 remains, so what is left is irreducible
-            factors.append((a, 1))
-            break
-        for tail in itertools.product(range(p), repeat=d):
-            cand = list(tail) + [1]
-            mult = 0
-            while True:
-                q, r = pdivmod(a, cand, p)
-                if r:
-                    break
-                a, mult = q, mult + 1
-            if mult:
-                factors.append((cand, mult))
-            if len(a) == 1:
-                break
-        d += 1
-    return factors
 
 
 def poly_str(coeffs, var="y"):
@@ -197,10 +107,6 @@ class DualAlgebra:
         k, nf = self.B.normalize(x)
         return u[self.index[nf]] * k % p if nf is not None else 0
 
-    def is_central(self, u):
-        units = [self.dual_basis_vector(m) for m in self.basis]
-        return all(self.multiply(u, w) == self.multiply(w, u) for w in units)
-
     def minimal_polynomial(self, v):
         """Monic minimal polynomial of v, ascending coefficient list."""
         p = self.B.prime
@@ -252,26 +158,135 @@ class Block:
 
 
 def _block_dim(D, e):
-    rows = [list(D.multiply(e, D.dual_basis_vector(m))) for m in D.basis]
-    return _linalg.rank(rows, D.dim, D.B.prime)
+    # rank of f -> e*f; column m of its matrix is e*f_m, read off the table
+    mat = [[0] * D.dim for _ in range(D.dim)]
+    for k, terms in enumerate(D._table()):
+        for i, j, c in terms:
+            mat[k][j] += e[i] * c
+    return _linalg.rank(mat, D.dim, D.B.prime)
+
+
+def _centre(D):
+    """Basis of the centre: the u with u*f_j = f_j*u for every dual-basis f_j.
+
+    Coordinate k of u*f_j - f_j*u is sum_i u_i (c^k_ij - c^k_ji), one row per
+    (j, k).  The rows of one k are reduced before the next k is read; for a
+    cocommutative H they all vanish and Z is the whole dual.
+    """
+    p = D.B.prime
+    ech = _linalg.Echelon(D.dim, p)
+    for terms in D._table():
+        rows = {}
+        for i, j, c in terms:
+            rows.setdefault(j, Counter())[i] += c
+            rows.setdefault(i, Counter())[j] -= c
+        for row in rows.values():
+            if any(c % p for c in row.values()):
+                dense = [0] * D.dim
+                for i, c in row.items():
+                    dense[i] = c
+                ech.add(dense)
+    return _linalg.kernel_basis(list(ech.rows.values()), D.dim, p)
+
+
+def _power(D, v, n):
+    out = D.unit()
+    for _ in range(n):
+        out = D.multiply(out, v)
+    return out
+
+
+def _block_idempotents(D):
+    """Central primitive idempotents of H^dual, in no fixed order."""
+    p = D.B.prime
+    centre = _centre(D)
+    # the fixed space of Frobenius on Z: kernel of z -> z^p - z
+    moved = [[(x - y) % p for x, y in zip(_power(D, z, p), z)] for z in centre]
+    fixed = [[sum(a * z[k] for a, z in zip(coeffs, centre)) % p
+              for k in range(D.dim)]
+             for coeffs in _linalg.kernel_basis(list(zip(*moved)),
+                                                len(centre), p)]
+    unit = D.unit()
+    idempotents = [unit]
+    for s in fixed:
+        # 1 - (s - c)^(p-1) is the sum of the blocks on which s equals c
+        lagrange = []
+        for c in range(p):
+            shifted = tuple((x - c * u) % p for x, u in zip(s, unit))
+            lagrange.append(tuple((u - x) % p for u, x in
+                                  zip(unit, _power(D, shifted, p - 1))))
+        idempotents = [f for e in idempotents for L in lagrange
+                       if any(f := D.multiply(e, L))]
+    _sanity_check(D, idempotents)
+    return idempotents
+
+
+def _character(D, e, size):
+    """The group-like g of the character on block e, or None if it has none.
+
+    ``size`` bounds the block's dimension: chi(f) e = (f e)^(p^K) for the
+    least p^K >= size, and a block whose residue field is larger than F_p
+    gives no multiple of e.
+    """
+    p = D.B.prime
+    pivot = next(k for k, x in enumerate(e) if x)
+    inv = pow(e[pivot], -1, p)
+    frobenius_steps = 0
+    while p ** frobenius_steps < size:
+        frobenius_steps += 1
+    chi = []
+    for m in D.basis:
+        x = D.multiply(D.dual_basis_vector(m), e)
+        for _ in range(frobenius_steps):
+            if not any(x):
+                break
+            x = _power(D, x, p)
+        c = x[pivot] * inv % p
+        if any((y - c * z) % p for y, z in zip(x, e)):
+            return None
+        chi.append(c)
+    return D.B.element(dict(zip(D.basis, chi)))
+
+
+def characters_are_blockwise(D):
+    """Whether each block of H^dual carries at most one character.
+
+    True when H is cocommutative (H^dual is commutative: every block is local)
+    or connected graded, i.e. every coproduct is degree-homogeneous (H^dual is
+    graded with F_p in degree 0, hence local).  Both are read off the table.
+    """
+    deg = [D.B.degree_of(m) for m in D.basis]
+    tables = D._table()
+    return (all(Counter((i, j, c) for i, j, c in terms)
+                == Counter((j, i, c) for i, j, c in terms) for terms in tables)
+            or all(deg[i] + deg[j] == deg[k]
+                   for k, terms in enumerate(tables) for i, j, _ in terms))
+
+
+def grouplikes(D):
+    """The group-likes of H, one per block of H^dual with residue field F_p,
+    sorted by their terms.  Exact only where ``characters_are_blockwise``."""
+    out = []
+    for e in _block_idempotents(D):
+        g = _character(D, e, D.dim)
+        if g is None:
+            continue
+        if not D.B.is_grouplike(g):
+            raise AssertionError(f"character {g} of a block is not group-like")
+        out.append(g)
+    out.sort(key=lambda g: sorted(g.terms.items()))
+    return out
 
 
 def _label_blocks(D, idempotents):
     """Sort blocks and name them: Tate first, then by (dim, group-like)."""
-    B = D.B
-    try:
-        grouplikes = B.find_grouplikes()
-    except ValueError:
-        grouplikes = []
     blocks = []
     for e in idempotents:
         dim = _block_dim(D, e)
-        tate = D.evaluate(e, B.one()) == 1
-        gs = [g for g in grouplikes if D.evaluate(e, g) == 1]
-        if tate:
+        if D.evaluate(e, D.B.one()) == 1:
             label = "tate"
-        elif dim == 1 and len(gs) == 1:
-            label = f"g:{gs[0]}"
+        elif dim == 1:
+            label = f"g:{_character(D, e, 1)}"
         else:
             label = f"dim:{dim}"
         blocks.append(Block(dim, label, tuple(e)))
@@ -279,50 +294,16 @@ def _label_blocks(D, idempotents):
     return blocks
 
 
-def decompose(B, max_candidates=_DECOMPOSE_BOUND):
+def decompose(B):
     """Block decomposition of H^dual as central primitive idempotents.
 
-    Tries the single-generator CRT route first, then exhaustive search; the
-    result always satisfies sum(e_i) = 1, e_i e_j = 0 and is ordered with the
-    Tate block first.
+    Centre, Frobenius fixed space, Lagrange split (see the module docstring);
+    the result always satisfies sum(e_i) = 1, e_i e_j = 0 and is ordered with
+    the Tate block first.  A one-dimensional block other than the Tate block
+    is labelled by the group-like its character evaluates at.
     """
     D = DualAlgebra(B)
-    p = B.prime
-
-    for m in D.basis:
-        if m == B.unit_mono:
-            continue
-        v = D.dual_basis_vector(m)
-        mu = D.minimal_polynomial(v)
-        if len(mu) - 1 != D.dim:
-            continue
-        idempotents = []
-        for q, a in factor_poly(mu, p):
-            qa = q
-            for _ in range(a - 1):
-                qa = pmul(qa, q, p)
-            cofactor, rem = pdivmod(mu, qa, p)
-            assert not rem
-            g, s, _t = pegcd(cofactor, qa, p)
-            assert g == [1], "minimal polynomial factors are not coprime"
-            e = D.substitute(pmul(s, cofactor, p), v)
-            idempotents.append(e)
-        _sanity_check(D, idempotents)
-        return _label_blocks(D, idempotents)
-
-    if p ** D.dim > max_candidates:
-        raise ValueError(
-            f"exhaustive idempotent search over bound "
-            f"(p^dim = {p ** D.dim} > {max_candidates} candidates) and no "
-            f"single dual-basis functional generates the dual algebra")
-    central = []
-    for vec in itertools.product(range(p), repeat=D.dim):
-        if any(vec) and D.multiply(vec, vec) == vec and D.is_central(vec):
-            central.append(vec)
-    atoms = [e for e in central
-             if not any(f != e and D.multiply(e, f) == f for f in central)]
-    _sanity_check(D, atoms)
-    return _label_blocks(D, atoms)
+    return _label_blocks(D, _block_idempotents(D))
 
 
 def _sanity_check(D, idempotents):

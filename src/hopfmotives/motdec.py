@@ -206,13 +206,13 @@ def twist_multiset(total, sub):
 # -- rank-one comodules --------------------------------------------------------
 
 
-def line_classes(H, max_candidates=10 ** 6):
+def line_classes(H):
     """One rank-one comodule per group-like of H, in a deterministic order.
 
     The class of index 0 is always the trivial (Tate) one.
     """
     classes = []
-    for i, g in enumerate(H.find_grouplikes(max_candidates)):
+    for i, g in enumerate(H.find_grouplikes()):
         coaction = {"b": [(c, hm, "b") for hm, c in sorted(g.terms.items())]}
         classes.append(BasisComodule(H, ("b",), {"b": 0}, coaction,
                                      name=f"L{i}[{g}]"))
@@ -234,11 +234,11 @@ def rank1_isomorphic(L1, L2):
     return rank1_grouplike(L1) == rank1_grouplike(L2)
 
 
-def line_tensor_table(H, max_candidates=10 ** 6):
+def line_tensor_table(H):
     """table[i][j] = k with L_i (x) L_j isomorphic to L_k."""
     from .comod import tensor_comodule
 
-    classes = line_classes(H, max_candidates)
+    classes = line_classes(H)
     gs = [rank1_grouplike(L) for L in classes]
     lookup = {}
     for k, g in enumerate(gs):

@@ -157,3 +157,31 @@ def test_directory_override_bad_json(tmp_path, monkeypatch):
     monkeypatch.setattr(catalog, "_cache", {})
     with pytest.raises(SchemaError):
         catalog.get("junk")
+
+
+def test_unverified_get_does_not_skip_later_verification(tmp_path, monkeypatch):
+    from hopfmotives.algebra import bialgebra_to_dict
+
+    data = bialgebra_to_dict(catalog.get("e8.mod3"))
+    data["coproducts"]["e_4"] = data["coproducts"]["e_4"][:1]
+    (tmp_path / "broken.json").write_text(json.dumps(data))
+    monkeypatch.setenv(catalog.ENV_DIR, str(tmp_path))
+    monkeypatch.setattr(catalog, "_cache", {})
+    assert not catalog.get("broken", verify=False).verify()
+    with pytest.raises(ValueError, match="fails verification"):
+        catalog.get("broken")
+
+
+def test_cache_follows_the_override_directory(tmp_path, monkeypatch):
+    from hopfmotives.algebra import bialgebra_to_dict
+
+    data = bialgebra_to_dict(catalog.get("g2.mod2"))
+    data["generators"] = [{"name": "e_3", "degree": 3, "truncation": 4}]
+    (tmp_path / "g2.mod2.json").write_text(json.dumps(data))
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.delenv(catalog.ENV_DIR, raising=False)
+    assert catalog.get("g2.mod2").generators[0].truncation == 2
+    monkeypatch.setenv(catalog.ENV_DIR, str(tmp_path))
+    assert catalog.get("g2.mod2").generators[0].truncation == 4
+    monkeypatch.delenv(catalog.ENV_DIR)
+    assert catalog.get("g2.mod2").generators[0].truncation == 2

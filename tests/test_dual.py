@@ -1,74 +1,25 @@
-"""Dual algebras: polynomial arithmetic over GF(p), minimal polynomials,
-and idempotent block decompositions.
+"""Dual algebras: minimal polynomials, idempotent block decompositions and
+group-likes.
 
-Factorization and minimal polynomials are cross-checked against sympy,
-which uses entirely different algorithms (Berlekamp / resultants).
+Minimal polynomials are cross-checked against sympy ranks; blocks and
+group-likes against exhaustive searches over F_p^dim, run where that space
+is small.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hopfmotives import catalog
-from hopfmotives.dual import (DualAlgebra, decompose, dual_presentation,
-                              factor_poly, pdivmod, pegcd, pmul, poly_str,
+from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
+                                 TensorElement)
+from hopfmotives.dual import (DualAlgebra, characters_are_blockwise,
+                              decompose, dual_presentation, poly_str,
                               tate_block)
 from hopfmotives.jinv import quotient_bialgebra
-
-_Y = sympy.Symbol("y")
-
-
-def sympy_factors(coeffs, p):
-    """Monic irreducible factors with multiplicity, via sympy."""
-    poly = sympy.Poly(list(reversed(coeffs)), _Y, modulus=p, symmetric=False)
-    _, factors = poly.factor_list()
-    out = []
-    for f, mult in factors:
-        fc = [int(c) % p for c in reversed(f.all_coeffs())]
-        out.append((tuple(fc), mult))
-    return sorted(out)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(2, 3).map(lambda i: (2, 3, 5)[i - 2]),
-       st.lists(st.integers(0, 4), min_size=1, max_size=7))
-def test_factor_poly_matches_sympy(p, coeffs):
-    coeffs = [c % p for c in coeffs] + [1]   # monic, degree >= 1
-    got = sorted((tuple(f), m) for f, m in factor_poly(coeffs, p))
-    assert got == sympy_factors(coeffs, p)
-
-
-def test_factor_poly_fixed_cases():
-    # y^3 + y = y(y^2+1) over F_3, the quadratic factor irreducible
-    assert sorted(factor_poly([0, 1, 0, 1], 3)) == \
-        [([0, 1], 1), ([1, 0, 1], 1)]
-    # y^3 + 2y = y(y+1)(y+2) over F_3
-    assert sorted(factor_poly([0, 2, 0, 1], 3)) == \
-        [([0, 1], 1), ([1, 1], 1), ([2, 1], 1)]
-    # y^4 + 1 over F_5 = (y^2+2)(y^2+3)
-    assert sorted(factor_poly([1, 0, 0, 0, 1], 5)) == \
-        [([2, 0, 1], 1), ([3, 0, 1], 1)]
-    # y^2 + 1 irreducible over F_3
-    assert factor_poly([1, 0, 1], 3) == [([1, 0, 1], 1)]
-
-
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=6),
-       st.lists(st.integers(0, 2), min_size=1, max_size=6))
-def test_pegcd_bezout_identity(a, b):
-    p = 3
-    a, b = a + [1], b + [1]
-    g, u, v = pegcd(a, b, p)
-    lhs = [(x + y) % p for x, y in
-           zip(pmul(a, u, p) + [0] * 20, pmul(b, v, p) + [0] * 20)]
-    while lhs and lhs[-1] == 0:
-        lhs.pop()
-    assert lhs == g
-    for poly in (a, b):
-        _, rem = pdivmod(poly, g, p)
-        assert rem == []
 
 
 def test_poly_str():
@@ -89,8 +40,6 @@ def brute_minpoly(D, v):
     """Minimal polynomial of v by stacking powers until they go dependent
     (rank over GF(p) computed by sympy), then brute-forcing the dependency.
     The catalog duals used here are tiny, so p^k search is instant."""
-    import itertools
-
     p = D.B.prime
     rows = [list(D.unit())]
     power = D.unit()
@@ -208,3 +157,114 @@ def test_idempotents_are_orthogonal():
     for b in blocks:
         total = [(x + y) % 3 for x, y in zip(total, b.idempotent)]
     assert tuple(total) == D.unit()
+
+
+# -- exhaustive oracles -------------------------------------------------------------
+
+ORACLE_BOUND = 4000   # candidates an oracle may enumerate
+
+BIALGEBRA_KEYS = [k for k in catalog.keys() if catalog.kind(k) == "bialgebra"]
+
+
+def brute_idempotents(D):
+    """Central primitive idempotents, by enumerating all of F_p^dim."""
+    units = [D.dual_basis_vector(m) for m in D.basis]
+    central = [v for v in itertools.product(range(D.B.prime), repeat=D.dim)
+               if any(v) and D.multiply(v, v) == v
+               and all(D.multiply(v, w) == D.multiply(w, v) for w in units)]
+    return [e for e in central
+            if not any(f != e and D.multiply(e, f) == f for f in central)]
+
+
+def square(g):
+    return TensorElement(g.alg, g.alg, {(a, b): ca * cb
+                                        for a, ca in g.terms.items()
+                                        for b, cb in g.terms.items()})
+
+
+def brute_grouplikes(B):
+    """All g with unit coordinate 1 and coproduct g (x) g, by enumerating
+    the other p^(dim - 1) coordinates; sorted as find_grouplikes sorts."""
+    positive = [m for m in B.basis() if m != B.unit_mono]
+    out = []
+    for coeffs in itertools.product(range(B.prime), repeat=len(positive)):
+        g = Element(B, {B.unit_mono: 1, **dict(zip(positive, coeffs))})
+        if B.coproduct(g) == square(g):
+            out.append(g)
+    return sorted(out, key=lambda g: sorted(g.terms.items()))
+
+
+def skew_bialgebra():
+    """F_2[x, y]/(x^2, y^2) with x group-like up to 1 and y skew-primitive:
+    neither cocommutative nor degree-homogeneous."""
+    one, x, y = (0, 0), (1, 0), (0, 1)
+    return Bialgebra(2, (GeneratorDecl("x", 1, 2), GeneratorDecl("y", 1, 2)),
+                     (), {"x": [(1, x, one), (1, one, x), (1, x, x)],
+                          "y": [(1, y, one), (1, one, y), (1, x, y)]})
+
+
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_blocks_match_exhaustive_search(key):
+    B = catalog.get(key)
+    D = DualAlgebra(B)
+    if B.prime ** D.dim > ORACLE_BOUND:
+        pytest.skip(f"p^dim = {B.prime ** D.dim} over the oracle bound")
+    assert sorted(b.idempotent for b in decompose(B)) == \
+        sorted(brute_idempotents(D))
+
+
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_grouplikes_match_exhaustive_search(key):
+    B = catalog.get(key)
+    if B.prime ** (B.dimension() - 1) > ORACLE_BOUND:
+        pytest.skip(f"p^(dim-1) = {B.prime ** (B.dimension() - 1)} over "
+                    f"the oracle bound")
+    assert [g.terms for g in B.find_grouplikes()] == \
+        [g.terms for g in brute_grouplikes(B)]
+
+
+def test_grouplikes_fall_back_to_search_when_blocks_may_hold_several():
+    B = skew_bialgebra()
+    D = DualAlgebra(B)
+    assert not characters_are_blockwise(D)
+    assert [g.terms for g in B.find_grouplikes()] == \
+        [g.terms for g in brute_grouplikes(B)]
+    assert sorted(b.idempotent for b in decompose(B)) == \
+        sorted(brute_idempotents(D))
+
+
+# -- inputs beyond any exhaustive search ------------------------------------------
+
+# e8.mod2 J-tuples whose quotient dual the exhaustive search refused
+# (p^dim over its bound) or took 14-18 s over
+E8_MOD2_LARGE_QUOTIENTS = [
+    (1, 2, 1, 1), (2, 1, 1, 1), (2, 2, 0, 1), (2, 2, 1, 1), (3, 0, 1, 1),
+    (3, 1, 0, 1), (3, 1, 1, 1), (3, 2, 0, 1), (3, 2, 1, 1),
+    (0, 2, 1, 1), (1, 1, 1, 1), (1, 2, 0, 1), (2, 0, 1, 1), (2, 1, 0, 1),
+    (3, 0, 0, 1),
+]
+
+
+@pytest.mark.parametrize("B", [catalog.get(k) for k in
+                               ("so11.mod2", "so13.mod2", "e8.mod2")]
+                         + [quotient_bialgebra(catalog.get("e8.mod2"), J)
+                            for J in E8_MOD2_LARGE_QUOTIENTS])
+def test_connected_graded_duals_are_one_tate_block(B):
+    assert [(b.dim, b.label) for b in decompose(B)] == \
+        [(B.dimension(), "tate")]
+
+
+@pytest.mark.parametrize("key", ["so9.mod2", "so11.mod2", "so13.mod2",
+                                 "e8.mod2"])
+def test_connected_graded_grouplikes_are_trivial(key):
+    assert [str(g) for g in catalog.get(key).find_grouplikes()] == ["1"]
+
+
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_line_block_labels_are_listed_grouplikes(key):
+    B = catalog.get(key)
+    listed = {str(g): g for g in B.find_grouplikes()}
+    for b in decompose(B):
+        if b.dim == 1 and b.label != "tate":
+            g = listed[b.label.removeprefix("g:")]
+            assert B.coproduct(g) == square(g)
