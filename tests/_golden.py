@@ -1,7 +1,8 @@
 """The command set behind the golden-output lock, and its recorder.
 
-Every README command, and ``dual KEY`` / ``grouplikes KEY`` for every
-catalog bialgebra, each in text and json form.  ``commands.json`` under
+Every README command, ``catalog show KEY`` and ``verify KEY`` for every
+catalog key, and ``dual KEY`` / ``grouplikes KEY`` for every catalog
+bialgebra, each in text and json form.  ``commands.json`` under
 ``tests/data/golden`` lists each argv with its exit code and the file that
 holds its stdout.  Re-record (only when an output changes on purpose, and
 say which in CHANGES.md) from the repository root with::
@@ -53,6 +54,8 @@ def commands():
     per_key = [[cmd, key] for key in catalog.keys()
                if catalog.kind(key) == "bialgebra"
                for cmd in ("dual", "grouplikes")]
+    per_key += [[*cmd, key] for key in catalog.keys()
+                for cmd in (["catalog", "show"], ["verify"])]
     out = []
     for argv in readme + [a for a in per_key if a not in readme]:
         out += [argv, argv + ["--format", "json"]]
