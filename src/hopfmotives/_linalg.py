@@ -54,12 +54,6 @@ def solve(rows, rhs, ncols, p):
     return x
 
 
-def in_span(rows, vec, ncols, p):
-    """Whether vec lies in the row span of rows."""
-    base = rank(rows, ncols, p)
-    return rank(list(rows) + [vec], ncols, p) == base
-
-
 class Echelon:
     """Incrementally maintained row echelon form for rank queries."""
 

@@ -17,7 +17,8 @@ Monomials are exponent tuples aligned with the declared generator order,
 elements are {monomial: coefficient} dicts over F_p with all monomials in
 normal form and no zero coefficients stored.
 
-A bialgebra adds a coproduct table on generators, extended multiplicatively.
+A bialgebra adds a coproduct table on generators, extended multiplicatively
+(``extend_multiplicatively``, which also extends coactions and the antipode).
 Coproducts need not be degree-homogeneous (the K-theory presentations use
 Delta(x) = x@1 + 1@x - x@x after specializing the invertible Bott/Morava
 scalar to 1), but the counit law and connectedness are always enforced.
@@ -81,6 +82,31 @@ class VerifyReport:
         return "fail:\n  " + "\n  ".join(self.failures)
 
 
+def gen_mono(r, i, e=1):
+    """The exponent tuple of g_i^e among r generators."""
+    return (0,) * i + (e,) + (0,) * (r - i - 1)
+
+
+def extend_multiplicatively(cache, images, mono):
+    """The image of an exponent tuple under the algebra map sending generator
+    i to ``images[i]``, memoized in ``cache`` (which must hold the unit tuple).
+
+    A loop lowers the last nonzero exponent until it meets a cached tuple,
+    then multiplies back up by one generator image per step and caches each
+    step, so every new monomial costs one product and g^k is ((1 g) g) ... g.
+    """
+    path, cur = [], tuple(mono)
+    while cur not in cache:
+        i = max(j for j, e in enumerate(cur) if e)
+        path.append(i)
+        cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
+    value = cache[cur]
+    for i in reversed(path):
+        cur = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
+        value = cache[cur] = value * images[i]
+    return value
+
+
 def _fmt_mono(names, mono):
     parts = []
     for name, e in zip(names, mono):
@@ -117,6 +143,7 @@ class Algebra:
         self._compiled = self._compile_rules()
         self._nf_cache = {}
         self._basis_cache = None
+        self._check_confluence()
 
     # -- presentation ------------------------------------------------------
 
@@ -162,10 +189,29 @@ class Algebra:
             seen.add(rule.source)
             compiled.append(rule)
         for i, g in enumerate(self.generators):
-            source = tuple(g.truncation if j == i else 0 for j in range(self.ngens))
+            source = gen_mono(self.ngens, i, g.truncation)
             if source not in seen:
                 compiled.append(RewriteRule(source, None))
         return tuple(compiled)
+
+    def _check_confluence(self):
+        """Reject rules whose normal forms depend on the order of rewriting.
+
+        Rewriting terminates, so by Newman's lemma it is enough that each
+        overlap of two rule sources (their lcm) rewritten by either rule
+        reaches the same normal form.
+        """
+        for a, b in itertools.combinations(self._compiled, 2):
+            if not any(x and y for x, y in zip(a.source, b.source)):
+                continue
+            lcm = tuple(map(max, a.source, b.source))
+            ends = [self.zero() if r.target is None else r.coeff * self.monomial(
+                        tuple(l - s + t for l, s, t in zip(lcm, r.source, r.target)))
+                    for r in (a, b)]
+            if ends[0] != ends[1]:
+                raise ValueError(f"rewrite rules are not confluent: "
+                                 f"{self.monomial_str(lcm)} reduces both to "
+                                 f"{ends[0]} and to {ends[1]}")
 
     def degree_of(self, mono):
         return sum(e * d for e, d in zip(mono, self._degrees))
@@ -243,9 +289,7 @@ class Algebra:
         return Element(self, {self.unit_mono: 1})
 
     def gen(self, name):
-        i = self.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-        return Element(self, {mono: 1})
+        return Element(self, {gen_mono(self.ngens, self.index(name)): 1})
 
     def monomial(self, mono, coeff=1):
         return Element(self, {tuple(mono): coeff})
@@ -450,13 +494,6 @@ class TensorElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        result = TensorElement(self.left, self.right,
-                               {(self.left.unit_mono, self.right.unit_mono): 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         return isinstance(other, TensorElement) \
             and self.left.same_presentation(other.left) \
@@ -487,7 +524,7 @@ class Bialgebra(Algebra):
 
     ``coproducts`` maps each generator name to an iterable of
     (coeff, left exponent tuple, right exponent tuple) triples.  The table is
-    stored termwise-normalized and extended to arbitrary elements
+    stored termwise-normalized and sorted, and extended to arbitrary elements
     multiplicatively.
     """
 
@@ -500,35 +537,23 @@ class Bialgebra(Algebra):
         missing = {g.name for g in generators} - set(coproducts)
         if missing:
             raise ValueError(f"missing coproducts for generators {sorted(missing)}")
-        table = {}
-        for name, terms in coproducts.items():
-            t = TensorElement(self, self,
-                              {(tuple(lm), tuple(rm)): c for c, lm, rm in terms})
-            table[name] = tuple(sorted((c, lm, rm)
-                                       for (lm, rm), c in t.terms.items()))
-        self.coproducts = table
-        self._cop_cache = {}
-        self._antipode_gens = {}
+        self.coproducts, self._cop_images = {}, []
+        for g in self.generators:
+            t = TensorElement(self, self, {(tuple(lm), tuple(rm)): c
+                                           for c, lm, rm in coproducts[g.name]})
+            table = tuple(sorted((c, lm, rm) for (lm, rm), c in t.terms.items()))
+            self.coproducts[g.name] = table
+            self._cop_images.append(
+                TensorElement(self, self, {(lm, rm): c for c, lm, rm in table}))
+        unit = self.unit_mono
+        self._cop_cache = {unit: TensorElement(self, self, {(unit, unit): 1})}
+        self._antipode_images = None
+        self._antipode_cache = {unit: self.one()}
         self._pik_cache = {}
-
-    def _gen_coproduct(self, i):
-        name = self.generators[i].name
-        return TensorElement(self, self,
-                             {(lm, rm): c for c, lm, rm in self.coproducts[name]})
 
     def coproduct_mono(self, mono):
         """Coproduct of a (not necessarily normal) exponent tuple."""
-        mono = tuple(mono)
-        try:
-            return self._cop_cache[mono]
-        except KeyError:
-            pass
-        result = TensorElement(self, self, {(self.unit_mono, self.unit_mono): 1})
-        for i, e in enumerate(mono):
-            if e:
-                result = result * self._gen_coproduct(i) ** e
-        self._cop_cache[mono] = result
-        return result
+        return extend_multiplicatively(self._cop_cache, self._cop_images, mono)
 
     def coproduct(self, x):
         if isinstance(x, Element):
@@ -564,29 +589,18 @@ class Bialgebra(Algebra):
         self._pik_cache[key] = result
         return result
 
-    def _antipode_gen(self, i):
-        try:
-            return self._antipode_gens[i]
-        except KeyError:
-            pass
-        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-        result = self.zero()
-        sign = 1
-        for k in range(self.top_degree() + 1):
-            result = result + sign * self._pik(k, mono)
-            sign = -sign
-        self._antipode_gens[i] = result
-        return result
-
     def antipode(self, x):
-        """The antipode, extended multiplicatively from generators."""
+        """The antipode, extended multiplicatively from its generator values
+        S(g) = sum_k (-1)^k pi^{*k}(g)."""
+        if self._antipode_images is None:
+            self._antipode_images = [
+                sum(((-1) ** k * self._pik(k, gen_mono(self.ngens, i))
+                     for k in range(self.top_degree() + 1)), self.zero())
+                for i in range(self.ngens)]
         out = self.zero()
         for m, c in x.terms.items():
-            term = self.one()
-            for i, e in enumerate(m):
-                if e:
-                    term = term * self._antipode_gen(i) ** e
-            out = out + c * term
+            out = out + c * extend_multiplicatively(
+                self._antipode_cache, self._antipode_images, m)
         return out
 
     # -- verification ------------------------------------------------------
@@ -595,8 +609,7 @@ class Bialgebra(Algebra):
         return verify_bialgebra(self)
 
     def is_primitive(self, name):
-        i = self.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
+        mono = gen_mono(self.ngens, self.index(name))
         expected = TensorElement(self, self, {(mono, self.unit_mono): 1,
                                               (self.unit_mono, mono): 1})
         return self.coproduct(self.gen(name)) == expected
@@ -633,6 +646,16 @@ class Bialgebra(Algebra):
                 out.append(g)
         out.sort(key=lambda g: sorted(g.terms.items()))
         return out
+
+
+def primitive_bialgebra(prime, gens, rules=()):
+    """F_p[gens]/(rules) with every generator primitive: g -> g@1 + 1@g."""
+    gens = tuple(gens)
+    r = len(gens)
+    unit = (0,) * r
+    return Bialgebra(prime, gens, rules,
+                     {g.name: [(1, gen_mono(r, i), unit), (1, unit, gen_mono(r, i))]
+                      for i, g in enumerate(gens)})
 
 
 def _triple_expand(B, tensor, side):
@@ -902,10 +925,11 @@ def bialgebra_from_dict(data, path="$"):
         raise SchemaError(path, str(exc)) from None
 
 
-def bialgebra_to_dict(B):
-    names = [g.name for g in B.generators]
+def presentation_to_dict(A):
+    """The "generators" and "rules" fields of an algebra's JSON form."""
+    names = [g.name for g in A.generators]
     rules = []
-    for r in B.rules:
+    for r in A.rules:
         support = [(i, e) for i, e in enumerate(r.source) if e]
         if len(support) == 1:
             src = [names[support[0][0]], support[0][1]]
@@ -914,15 +938,15 @@ def bialgebra_to_dict(B):
         tgt = None if r.target is None else \
             {"coeff": r.coeff, "monomial": mono_to_json(names, r.target)}
         rules.append({"source": src, "target": tgt})
-    cops = {}
-    for g in B.generators:
-        cops[g.name] = [{"coeff": c, "left": mono_to_json(names, lm),
-                         "right": mono_to_json(names, rm)}
-                        for c, lm, rm in B.coproducts[g.name]]
-    return {
-        "prime": B.prime,
-        "generators": [{"name": g.name, "degree": g.degree, "truncation": g.truncation}
-                       for g in B.generators],
-        "rules": rules,
-        "coproducts": cops,
-    }
+    return {"generators": [{"name": g.name, "degree": g.degree,
+                            "truncation": g.truncation} for g in A.generators],
+            "rules": rules}
+
+
+def bialgebra_to_dict(B):
+    names = [g.name for g in B.generators]
+    cops = {g.name: [{"coeff": c, "left": mono_to_json(names, lm),
+                      "right": mono_to_json(names, rm)}
+                     for c, lm, rm in B.coproducts[g.name]]
+            for g in B.generators}
+    return {"prime": B.prime, **presentation_to_dict(B), "coproducts": cops}

@@ -24,11 +24,11 @@ import math
 import os
 from dataclasses import dataclass
 
-from .algebra import (Bialgebra, GeneratorDecl, RewriteRule, SchemaError,
-                      bialgebra_from_dict)
+from .algebra import (Algebra, Bialgebra, GeneratorDecl, RewriteRule,
+                      SchemaError, bialgebra_from_dict, gen_mono,
+                      primitive_bialgebra)
 from .comod import AlgebraComodule, comodule_from_dict
 from .jinv import PoincarePoly
-from .algebra import Algebra
 
 ENV_DIR = "HOPFMOTIVES_CATALOG_DIR"
 
@@ -77,56 +77,34 @@ def weyl_order(series, rank):
 # -- entry builders -------------------------------------------------------------
 
 
-def _unit_vec(r, i):
-    return tuple(1 if j == i else 0 for j in range(r))
-
-
-def _primitive_cops(r):
-    zero = (0,) * r
-    return {i: [(1, _unit_vec(r, i), zero), (1, zero, _unit_vec(r, i))]
-            for i in range(r)}
-
-
-def _borel(prime, gens):
-    """Primitively generated truncated polynomial bialgebra."""
-    gens = tuple(gens)
-    cops = {g.name: terms
-            for (g, terms) in zip(gens, _primitive_cops(len(gens)).values())}
-    return Bialgebra(prime, gens, (), cops)
-
-
 def _so_chow(n):
     """F_2[e_1..e_m]/(e_i^2 = e_{2i}), every generator primitive."""
     m = (n - 1) // 2
     gens = tuple(GeneratorDecl(f"e_{i}", i, 2) for i in range(1, m + 1))
-    rules = tuple(RewriteRule(tuple(2 if j == i - 1 else 0 for j in range(m)),
-                              _unit_vec(m, 2 * i - 1))
-                  for i in range(1, m + 1) if 2 * i <= m)
-    cops = {f"e_{i}": terms for i, terms in
-            zip(range(1, m + 1), _primitive_cops(m).values())}
-    return Bialgebra(2, gens, rules, cops)
+    return primitive_bialgebra(2, gens, tuple(
+        RewriteRule(gen_mono(m, i - 1, 2), gen_mono(m, 2 * i - 1))
+        for i in range(1, m + 1) if 2 * i <= m))
 
 
 def _e7sc_mod2():
-    return _borel(2, (GeneratorDecl("e_3", 3, 2), GeneratorDecl("e_5", 5, 2),
-                      GeneratorDecl("e_9", 9, 2)))
+    return primitive_bialgebra(2, (GeneratorDecl("e_3", 3, 2),
+                                   GeneratorDecl("e_5", 5, 2),
+                                   GeneratorDecl("e_9", 9, 2)))
 
 
 def _e8_mod3():
-    return _borel(3, (GeneratorDecl("e_4", 4, 3), GeneratorDecl("e_10", 10, 3)))
+    return primitive_bialgebra(3, (GeneratorDecl("e_4", 4, 3),
+                                   GeneratorDecl("e_10", 10, 3)))
 
 
 def _e8_mod2():
     gens = (GeneratorDecl("e_3", 3, 8), GeneratorDecl("e_5", 5, 4),
             GeneratorDecl("e_9", 9, 2), GeneratorDecl("e_15", 15, 2))
     zero = (0, 0, 0, 0)
-    prim = _primitive_cops(4)
-    cops = {"e_3": prim[0], "e_5": prim[1], "e_9": prim[2],
-            "e_15": [(1, (0, 0, 0, 1), zero),
-                     (1, (0, 0, 1, 0), (2, 0, 0, 0)),
-                     (1, (0, 1, 0, 0), (0, 2, 0, 0)),
-                     (1, (1, 0, 0, 0), (4, 0, 0, 0)),
-                     (1, zero, (0, 0, 0, 1))]}
+    cops = dict(primitive_bialgebra(2, gens).coproducts)
+    cops["e_15"] = [(1, (0, 0, 0, 1), zero), (1, (0, 0, 1, 0), (2, 0, 0, 0)),
+                    (1, (0, 1, 0, 0), (0, 2, 0, 0)), (1, (1, 0, 0, 0), (4, 0, 0, 0)),
+                    (1, zero, (0, 0, 0, 1))]
     return Bialgebra(2, gens, (), cops)
 
 
@@ -209,7 +187,7 @@ for _n in (5, 7, 9, 11, 13):
               f"mod-2 Chow bialgebra of SO_{_n} (e_i^2 = e_2i form)",
               (lambda n: lambda: _so_chow(n))(_n))
 _register("g2.mod2", "bialgebra",
-          "mod-2 Chow bialgebra of G_2: F_2[e_3]/(e_3^2)", lambda: _borel(
+          "mod-2 Chow bialgebra of G_2: F_2[e_3]/(e_3^2)", lambda: primitive_bialgebra(
               2, (GeneratorDecl("e_3", 3, 2),)))
 _register("e7sc.mod2", "bialgebra",
           "mod-2 Chow bialgebra of simply connected E_7 "
@@ -283,32 +261,33 @@ def describe(key):
     raise ValueError(f"unknown catalog key {key!r}")
 
 
-def kind(key):
-    """'bialgebra' or 'comodule', without building the entry."""
-    if key in _ENTRIES and not _override_path(key):
-        return _ENTRIES[key].kind
-    path = _override_path(key)
-    if path is None:
-        raise ValueError(f"unknown catalog key {key!r}")
+def read_json(path):
+    """The content of a JSON file; malformed JSON is a SchemaError at "$"."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}") from None
-    return "comodule" if isinstance(data, dict) and "flavor" in data \
-        else "bialgebra"
+
+
+def _is_comodule(data):
+    return isinstance(data, dict) and "flavor" in data
+
+
+def kind(key):
+    """'bialgebra' or 'comodule', without building the entry."""
+    path = _override_path(key)
+    if path is not None:
+        return "comodule" if _is_comodule(read_json(path)) else "bialgebra"
+    if key in _ENTRIES:
+        return _ENTRIES[key].kind
+    raise ValueError(f"unknown catalog key {key!r}")
 
 
 def load_object_file(path):
     """Read a bialgebra or comodule from a JSON file (by its 'flavor' field)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from None
-    if isinstance(data, dict) and "flavor" in data:
-        return comodule_from_dict(data)
-    return bialgebra_from_dict(data)
+    data = read_json(path)
+    return comodule_from_dict(data) if _is_comodule(data) else bialgebra_from_dict(data)
 
 
 def get(key, verify=True):

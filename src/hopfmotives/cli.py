@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import catalog
-from .algebra import SchemaError, bialgebra_to_dict, borel_normalize
+from .algebra import SchemaError, bialgebra_to_dict, borel_normalize, gen_mono
 from .comod import (coinvariants, comodule_to_dict, label_str,
                     quadric_comodule, restrict_comodule)
 from .dual import decompose
@@ -111,8 +111,7 @@ def _comodule_lines(M, head=()):
     if hasattr(M, "module"):
         # show the coaction on module generators only; the rest follows
         # multiplicatively
-        r = len(M.module.generators)
-        shown = [(g.name, tuple(1 if j == i else 0 for j in range(r)))
+        shown = [(g.name, gen_mono(M.module.ngens, i))
                  for i, g in enumerate(M.module.generators)]
     else:
         shown = [(label_str(l), l) for l in M.sorted_labels()]
@@ -192,11 +191,7 @@ def cmd_dual(args):
 
 
 def _load_extra_edges(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from None
+    data = catalog.read_json(path)
     if not isinstance(data, dict) or set(data) != {"edges"}:
         raise SchemaError("$", "expected an object with exactly the key 'edges'")
     edges = data["edges"]

@@ -29,11 +29,12 @@ from the second ruling.
 from __future__ import annotations
 
 from . import _linalg
-from .algebra import (Bialgebra, SchemaError, TensorElement, VerifyReport,
-                      _check_keys, _int_field, bialgebra_from_dict,
-                      bialgebra_to_dict, mono_from_json, mono_to_json,
-                      tensor_terms_from_json, _gens_from_json,
-                      _rules_from_json, Algebra)
+from .algebra import (Algebra, SchemaError, TensorElement, VerifyReport,
+                      _check_keys, _fmt_mono, _gens_from_json, _rules_from_json,
+                      bialgebra_from_dict, bialgebra_to_dict,
+                      extend_multiplicatively, gen_mono, mono_from_json,
+                      mono_to_json, presentation_to_dict,
+                      tensor_terms_from_json)
 from .jinv import (quotient_bialgebra, quotient_with_map, so_borel,
                    validate_jtuple)
 
@@ -61,12 +62,6 @@ class _ComoduleBase:
 
     def rank(self):
         return len(self.labels)
-
-    def labels_by_degree(self):
-        out = {}
-        for lab in self.labels:
-            out.setdefault(self.degree_of(lab), []).append(lab)
-        return out
 
     def sorted_labels(self):
         return sorted(self.labels, key=lambda l: (self.degree_of(l), _label_key(l)))
@@ -177,13 +172,14 @@ class AlgebraComodule(_ComoduleBase):
         self.H = H
         self.module = module
         self.name = name
-        self._gen_table = {}
-        for gname, terms in coaction.items():
-            t = TensorElement(H, module,
-                              {(tuple(hm), tuple(mm)): c for c, hm, mm in terms})
-            self._gen_table[gname] = t
+        self._gen_table = {
+            gname: TensorElement(H, module, {(tuple(hm), tuple(mm)): c
+                                             for c, hm, mm in terms})
+            for gname, terms in coaction.items()}
+        self._images = [self._gen_table[g.name] for g in module.generators]
         self.labels = module.basis()
-        self._raw_cache = {}
+        self._raw_cache = {module.unit_mono: TensorElement(
+            H, module, {(H.unit_mono, module.unit_mono): 1})}
 
     def degree_of(self, label):
         return self.module.degree_of(label)
@@ -193,18 +189,7 @@ class AlgebraComodule(_ComoduleBase):
 
     def coaction_raw(self, mono):
         """rho on a (possibly non-normal) exponent tuple of M, multiplicatively."""
-        mono = tuple(mono)
-        try:
-            return self._raw_cache[mono]
-        except KeyError:
-            pass
-        out = TensorElement(self.H, self.module,
-                            {(self.H.unit_mono, self.module.unit_mono): 1})
-        for i, e in enumerate(mono):
-            if e:
-                out = out * self._gen_table[self.module.generators[i].name] ** e
-        self._raw_cache[mono] = out
-        return out
+        return extend_multiplicatively(self._raw_cache, self._images, mono)
 
     def coaction_vec(self, label):
         return self.coaction_raw(label).terms
@@ -224,7 +209,6 @@ class AlgebraComodule(_ComoduleBase):
                 else rule.coeff * self.coaction_raw(rule.target)
             if src != tgt:
                 names = [g.name for g in M.generators]
-                from .algebra import _fmt_mono
                 report.fail(
                     f"coaction does not respect {_fmt_mono(names, rule.source)} -> "
                     f"{'0' if rule.target is None else _fmt_mono(names, rule.target)}")
@@ -359,7 +343,7 @@ def _ebar(H, i):
         return None
     if 2 ** l >= H.generators[idx].truncation:
         return None
-    return tuple(2 ** l if j == idx else 0 for j in range(H.ngens))
+    return gen_mono(H.ngens, idx, 2 ** l)
 
 
 def quadric_comodule(n, jtuple):
@@ -485,20 +469,7 @@ def comodule_to_dict(M):
     if isinstance(M, AlgebraComodule):
         mnames = [g.name for g in M.module.generators]
         out["flavor"] = "algebra"
-        out["generators"] = [{"name": g.name, "degree": g.degree,
-                              "truncation": g.truncation}
-                             for g in M.module.generators]
-        rules = []
-        for r in M.module.rules:
-            support = [(i, e) for i, e in enumerate(r.source) if e]
-            if len(support) == 1:
-                src = [mnames[support[0][0]], support[0][1]]
-            else:
-                src = mono_to_json(mnames, r.source)
-            tgt = None if r.target is None else \
-                {"coeff": r.coeff, "monomial": mono_to_json(mnames, r.target)}
-            rules.append({"source": src, "target": tgt})
-        out["rules"] = rules
+        out.update(presentation_to_dict(M.module))
         out["coaction"] = {
             g.name: [{"coeff": c, "left": mono_to_json(hnames, hm),
                       "right": mono_to_json(mnames, mm)}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import Bialgebra, Element, GeneratorDecl
+from .algebra import Bialgebra, Element, GeneratorDecl, primitive_bialgebra
 
 _TUPLE_ENUM_BOUND = 10_000
 
@@ -317,13 +317,8 @@ def so_borel(n):
     """The mod-2 Borel-form bialgebra F_2[e_d : d odd <= m]/(e_d^(2^(k_d)))
     with every generator primitive; the Borel normalization of Ch(SO_n)."""
     m, odds, ks = _quadric_shape(n)
-    gens = tuple(GeneratorDecl(f"e_{d}", d, 2 ** k) for d, k in zip(odds, ks))
-    r = len(odds)
-    cops = {}
-    for i, d in enumerate(odds):
-        g = tuple(1 if j == i else 0 for j in range(r))
-        cops[f"e_{d}"] = [(1, g, (0,) * r), (1, (0,) * r, g)]
-    return Bialgebra(2, gens, (), cops)
+    return primitive_bialgebra(
+        2, (GeneratorDecl(f"e_{d}", d, 2 ** k) for d, k in zip(odds, ks)))
 
 
 def tuple_to_jset(n, J):

@@ -8,16 +8,18 @@ is checked against a dense linear solve of the convolution identity.
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfmotives import _linalg, catalog
-from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
+from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  RewriteRule, SchemaError, TensorElement,
                                  bialgebra_from_dict, bialgebra_to_dict,
-                                 borel_normalize, verify_bialgebra)
+                                 borel_normalize, primitive_bialgebra,
+                                 verify_bialgebra)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,96 @@ def test_antipode_is_linear_on_random_elements(seed):
     for m, c in x.terms.items():
         rhs = rhs + c * B.antipode(B.monomial(m))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# multiplicative extension against repeated multiplication
+# ---------------------------------------------------------------------------
+
+BIALGEBRA_KEYS = [k for k in catalog.keys() if catalog.kind(k) == "bialgebra"]
+
+
+def repeated_product(one, images, mono):
+    """1 * g_1^e_1 * g_2^e_2 * ..., each power built as ((1 g) g) ... g: the
+    image of a monomial without sharing products between monomials."""
+    out = one
+    for g, e in zip(images, mono):
+        if e:
+            power = one
+            for _ in range(e):
+                power = power * g
+            out = out * power
+    return out
+
+
+def assert_extends(got, want, mono):
+    """Equal images; a pure generator power also keeps its term order."""
+    assert got == want, mono
+    if sum(1 for e in mono if e) <= 1:
+        assert list(got.terms) == list(want.terms), mono
+
+
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_coproduct_mono_matches_repeated_product(key):
+    B = bialgebra_from_dict(bialgebra_to_dict(catalog.get(key)))  # cold caches
+    unit = B.unit_mono
+    one = TensorElement(B, B, {(unit, unit): 1})
+    images = [TensorElement(B, B, {(lm, rm): c for c, lm, rm in B.coproducts[g.name]})
+              for g in B.generators]
+    for mono in list(B.basis()) + [r.source for r in B._compiled]:
+        assert_extends(B.coproduct_mono(mono),
+                       repeated_product(one, images, mono), mono)
+
+
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_antipode_matches_repeated_product(key):
+    B = bialgebra_from_dict(bialgebra_to_dict(catalog.get(key)))
+    images = [B.antipode(B.gen(g.name)) for g in B.generators]
+    for mono in B.basis():
+        assert_extends(B.antipode(B.monomial(mono)),
+                       repeated_product(B.one(), images, mono), mono)
+
+
+def test_long_power_verifies_without_recursion():
+    """x^1200 -> 0 is not a coideal rule over F_2: (x@1 + 1@x)^1200 keeps
+    x^k @ x^(1200-k) for each k whose bits lie inside those of 1200 (Lucas)."""
+    B = Bialgebra(2, (GeneratorDecl("x", 1, 1200),), (),
+                  {"x": [(1, (1,), (0,)), (1, (0,), (1,))]})
+    diff = " + ".join(f"x^{k}⊗x^{1200 - k}" for k in range(1, 1200)
+                      if k & 1200 == k)
+    assert verify_bialgebra(B).failures == [
+        f"coproduct does not respect x^1200 -> 0 (difference {diff})"]
+
+
+def test_primitive_bialgebra():
+    gens = (GeneratorDecl("a", 1, 9), GeneratorDecl("b", 3, 3))
+    B = primitive_bialgebra(3, gens)
+    assert [B.is_primitive(g.name) for g in gens] == [True, True]
+    assert B.rules == () and B.dimension() == 27 and verify_bialgebra(B)
+
+
+# ---------------------------------------------------------------------------
+# confluence of the rewrite rules
+# ---------------------------------------------------------------------------
+
+# F_2[a,b,c], deg 1,1,2, a^2 -> c, ab -> c: (a a) b = b c but a (a b) = a c
+NONCONFLUENT = {"prime": 2,
+                "generators": [{"name": n, "degree": d, "truncation": 4}
+                               for n, d in (("a", 1), ("b", 1), ("c", 2))],
+                "rules": [{"source": src, "target": {"coeff": 1, "monomial": {"c": 1}}}
+                          for src in (["a", 2], {"a": 1, "b": 1})]}
+NONCONFLUENT_ERROR = re.escape("not confluent: a^2*b reduces both to b*c and to a*c")
+
+
+def test_nonconfluent_rules_are_rejected():
+    gens = tuple(GeneratorDecl(n, d, 4) for n, d in (("a", 1), ("b", 1), ("c", 2)))
+    with pytest.raises(ValueError, match=NONCONFLUENT_ERROR):
+        Algebra(2, gens, (RewriteRule((2, 0, 0), (0, 0, 1)),
+                          RewriteRule((1, 1, 0), (0, 0, 1))))
+    with pytest.raises(SchemaError, match=r"^\$: .*" + NONCONFLUENT_ERROR):
+        bialgebra_from_dict(dict(NONCONFLUENT, coproducts={
+            n: [{"coeff": 1, "left": {n: 1}, "right": {}},
+                {"coeff": 1, "left": {}, "right": {n: 1}}] for n in "abc"}))
 
 
 def test_grouplikes_form_a_cyclic_group():

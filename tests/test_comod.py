@@ -10,8 +10,11 @@ from hopfmotives.comod import (AlgebraComodule, BasisComodule, coinvariants,
                                is_comodule_morphism, label_str,
                                quadric_comodule, restrict_comodule,
                                tensor_comodule, verify_comodule)
-from hopfmotives.algebra import SchemaError
+from hopfmotives.algebra import SchemaError, TensorElement
 from hopfmotives.jinv import jset_to_tuple, so_borel, valid_jtuples
+
+from test_algebra import (NONCONFLUENT, NONCONFLUENT_ERROR, assert_extends,
+                          repeated_product)
 
 
 def test_catalog_comodules_verify():
@@ -44,6 +47,16 @@ def test_coaction_respects_module_rules():
     lhs = M.coaction_raw((3, 0, 0))
     rhs = 2 * M.coaction_raw((0, 1, 24))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("key", ["e7p7.mod2", "e8p8.mod3"])
+def test_coaction_raw_matches_repeated_product(key):
+    M = comodule_from_dict(comodule_to_dict(catalog.get(key)))  # cold caches
+    A = M.module
+    one = TensorElement(M.H, A, {(M.H.unit_mono, A.unit_mono): 1})
+    images = [M._gen_table[g.name] for g in A.generators]
+    for mono in list(A.basis()) + [r.source for r in A._compiled]:
+        assert_extends(M.coaction_raw(mono), repeated_product(one, images, mono), mono)
 
 
 # -- coinvariants -----------------------------------------------------------------
@@ -208,6 +221,16 @@ def test_comodule_schema_rejections():
     bad = dict(good, coaction=dict(good["coaction"], zz=[]))
     with pytest.raises(SchemaError):
         comodule_from_dict(bad)
+
+
+def test_nonconfluent_module_rules_are_rejected():
+    data = dict(NONCONFLUENT, flavor="algebra",
+                hopf=comodule_to_dict(catalog.get("e7p7.mod2"))["hopf"],
+                coaction={n: [{"coeff": 1, "left": {}, "right": {n: 1}}]
+                          for n in "abc"})
+    del data["prime"]
+    with pytest.raises(SchemaError, match=r"^\$: .*" + NONCONFLUENT_ERROR):
+        comodule_from_dict(data)
 
 
 def test_basis_comodule_schema_alignment():
