@@ -1,8 +1,10 @@
 """The command set behind the golden-output lock, and its recorder.
 
 Every README command, ``catalog show KEY`` and ``verify KEY`` for every
-catalog key, and ``dual KEY`` / ``grouplikes KEY`` for every catalog
-bialgebra, each in text and json form.  ``commands.json`` under
+catalog key, ``dual KEY`` / ``grouplikes KEY`` for every catalog
+bialgebra, ``rpe`` and ``coinv`` of ``e8p8.mod3`` for every J-tuple, global
+``coinv`` of both catalog comodules, and ``quadric`` (plain and ``--dot``)
+for every valid J-set with n = 5..10, each in text and json form.  ``commands.json`` under
 ``tests/data/golden`` lists each argv with its exit code and the file that
 holds its stdout.  Re-record (only when an output changes on purpose, and
 say which in CHANGES.md) from the repository root with::
@@ -32,6 +34,7 @@ def slug(argv):
 
 def commands():
     from hopfmotives import catalog
+    from hopfmotives.jinv import so_borel, tuple_to_jset, valid_jtuples
 
     show_json = ["catalog", "show", "g2.mod2", "--format", "json"]
     readme = [
@@ -56,6 +59,15 @@ def commands():
                for cmd in ("dual", "grouplikes")]
     per_key += [[*cmd, key] for key in catalog.keys()
                 for cmd in (["catalog", "show"], ["verify"])]
+    for J in valid_jtuples(catalog.get("e8p8.mod3").H):
+        jt = ",".join(map(str, J))
+        per_key += [[cmd, "e8p8.mod3", "--jtuple", jt] for cmd in ("rpe", "coinv")]
+    per_key += [["coinv", "e8p8.mod3"], ["coinv", "e7p7.mod2"]]
+    for n in range(5, 11):
+        for J in valid_jtuples(so_borel(n)):
+            jset = ",".join(map(str, tuple_to_jset(n, J))) or "none"
+            argv = ["quadric", "--n", str(n), "--jset", jset]
+            per_key += [argv, argv + ["--dot"]]
     out = []
     for argv in readme + [a for a in per_key if a not in readme]:
         out += [argv, argv + ["--format", "json"]]
