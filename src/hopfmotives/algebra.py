@@ -539,8 +539,8 @@ class Bialgebra(Algebra):
             raise ValueError(f"missing coproducts for generators {sorted(missing)}")
         self.coproducts, self._cop_images = {}, []
         for g in self.generators:
-            t = TensorElement(self, self, {(tuple(lm), tuple(rm)): c
-                                           for c, lm, rm in coproducts[g.name]})
+            t = TensorElement(self, self, [((tuple(lm), tuple(rm)), c)
+                                           for c, lm, rm in coproducts[g.name]])
             table = tuple(sorted((c, lm, rm) for (lm, rm), c in t.terms.items()))
             self.coproducts[g.name] = table
             self._cop_images.append(

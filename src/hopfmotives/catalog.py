@@ -120,7 +120,7 @@ def _e7p7_mod2():
         "x_9": [(1, (0, 0, 1), (0, 0, 0)), (1, (0, 1, 0), (4, 0, 0)),
                 (1, zero3, (0, 0, 1))],
     }
-    return AlgebraComodule(H, module, coaction, name="e7p7.mod2")
+    return AlgebraComodule(H, module, coaction)
 
 
 def _e8p8_mod3():
@@ -137,7 +137,7 @@ def _e8p8_mod3():
         "x_10": [(1, (0, 1), (0, 0, 0)), (1, (2, 0), (0, 0, 2)),
                  (2, (1, 0), (0, 1, 0)), (1, (0, 0), (1, 0, 0))],
     }
-    return AlgebraComodule(H, module, coaction, name="e8p8.mod3")
+    return AlgebraComodule(H, module, coaction)
 
 
 def _k0_pgl(p):

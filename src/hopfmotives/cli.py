@@ -72,9 +72,8 @@ def _emit(args, payload, text_lines):
 
 def _combo_str(M, vec):
     """Render {label: coeff} over a comodule's labels, in display order."""
-    order = {lab: i for i, lab in enumerate(M.sorted_labels())}
     bits = []
-    for lab in sorted(vec, key=order.__getitem__):
+    for lab in sorted(vec, key=M.position.__getitem__):
         c = vec[lab]
         s = M.label_str(lab)
         bits.append(s if c == 1 else f"{c}*{s}")
@@ -331,7 +330,9 @@ def build_parser():
                         help="basis of the coinvariants of a comodule")
     ip.add_argument("key")
     ip.add_argument("--jtuple", help="restrict through this quotient first")
-    ip.add_argument("--degree", type=int, help="single degree only")
+    ip.add_argument("--degree", type=int,
+                    help="only coinvariants in the span of this degree's labels "
+                         "(one that mixes degrees is in no single degree)")
     ip.set_defaults(func=cmd_coinv)
 
     gp = sub.add_parser("grouplikes", parents=[fmt],

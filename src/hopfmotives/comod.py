@@ -28,6 +28,8 @@ from the second ruling.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import _linalg
 from .algebra import (Algebra, SchemaError, TensorElement, VerifyReport,
                       _check_keys, _fmt_mono, _gens_from_json, _rules_from_json,
@@ -58,13 +60,18 @@ def label_str(label):
 class _ComoduleBase:
     """Shared verification and display for both comodule flavors."""
 
-    name = None
-
     def rank(self):
         return len(self.labels)
 
+    @cached_property
+    def position(self):
+        """The display index of each label, in (degree, label) order; the
+        dict iterates in that order.  Built once; do not mutate."""
+        order = sorted(self.labels, key=lambda l: (self.degree_of(l), _label_key(l)))
+        return {lab: i for i, lab in enumerate(order)}
+
     def sorted_labels(self):
-        return sorted(self.labels, key=lambda l: (self.degree_of(l), _label_key(l)))
+        return list(self.position)
 
     def coaction_str(self, label):
         H = self.H
@@ -121,13 +128,12 @@ class _ComoduleBase:
 class BasisComodule(_ComoduleBase):
     """A comodule given by an explicit coaction table on basis labels."""
 
-    def __init__(self, H, labels, degrees, coaction, name=None):
+    def __init__(self, H, labels, degrees, coaction):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
         self.H = H
         self.labels = labels
-        self.name = name
         self._degrees = dict(degrees)
         for lab in labels:
             if lab not in self._degrees:
@@ -158,7 +164,7 @@ class BasisComodule(_ComoduleBase):
 class AlgebraComodule(_ComoduleBase):
     """A rewrite-form algebra M with a multiplicative H-coaction."""
 
-    def __init__(self, H, module, coaction, name=None):
+    def __init__(self, H, module, coaction):
         if H.prime != module.prime:
             raise ValueError("comodule and bialgebra must share the prime")
         coaction = dict(coaction)
@@ -171,10 +177,9 @@ class AlgebraComodule(_ComoduleBase):
             raise ValueError(f"missing coaction for generators {sorted(missing)}")
         self.H = H
         self.module = module
-        self.name = name
         self._gen_table = {
-            gname: TensorElement(H, module, {(tuple(hm), tuple(mm)): c
-                                             for c, hm, mm in terms})
+            gname: TensorElement(H, module, [((tuple(hm), tuple(mm)), c)
+                                             for c, hm, mm in terms])
             for gname, terms in coaction.items()}
         self._images = [self._gen_table[g.name] for g in module.generators]
         self.labels = module.basis()
@@ -224,14 +229,16 @@ def verify_comodule(M):
 def coinvariants(M, degree=None):
     """A canonical basis of {x : rho(x) = 1 (x) x}, as {label: coeff} dicts.
 
-    With ``degree`` given, only labels of that degree enter the computation
-    (exact for degree-preserving coactions).  Vectors are reduced row echelon
-    over the labels in (degree, label) order, sorted by pivot.
+    With ``degree`` given, the result is a basis of the coinvariants in the
+    span of the labels of that degree, exactly, for any coaction.  A coaction
+    that does not preserve degree can have coinvariants that mix degrees;
+    those lie in no single degree and appear only in the global answer.
+    Vectors are reduced row echelon over the labels in (degree, label) order,
+    sorted by pivot.
     """
     H = M.H
     p = H.prime
-    cols = [l for l in M.sorted_labels()
-            if degree is None or M.degree_of(l) == degree]
+    cols = [l for l in M.position if degree is None or M.degree_of(l) == degree]
     if not cols:
         return []
     rows_index = {}
@@ -249,15 +256,13 @@ def coinvariants(M, degree=None):
             matrix[rows_index[k]][j] = c
     kernel = _linalg.kernel_basis(matrix, len(cols), p)
     reduced, _ = _linalg.rref(kernel, len(cols), p)
-    out = [{cols[j]: c for j, c in enumerate(v) if c} for v in reduced]
-    out.sort(key=lambda vec: min((M.degree_of(l), _label_key(l)) for l in vec))
-    return out
+    return [{cols[j]: c for j, c in enumerate(v) if c} for v in reduced]
 
 
 # -- tensor products and morphisms --------------------------------------------
 
 
-def tensor_comodule(M, N, name=None):
+def tensor_comodule(M, N):
     """M (x) N with rho(a,b) = (mult_H (x) id)(rho_M(a) (x) rho_N(b))."""
     if M.H != N.H:
         raise ValueError("tensor factors must live over the same bialgebra")
@@ -276,9 +281,7 @@ def tensor_comodule(M, N, name=None):
                 key = (hm, (a2, b2))
                 acc[key] = (acc.get(key, 0) + c1 * c2 * k) % p
         coaction[(a, b)] = [(c, hm, lab) for (hm, lab), c in acc.items() if c]
-    if name is None and M.name and N.name:
-        name = f"{M.name}⊗{N.name}"
-    return BasisComodule(H, labels, degrees, coaction, name=name)
+    return BasisComodule(H, labels, degrees, coaction)
 
 
 def is_comodule_morphism(M, N, f):
@@ -310,7 +313,7 @@ def is_comodule_morphism(M, N, f):
     return True, None
 
 
-def restrict_comodule(M, J, name=None):
+def restrict_comodule(M, J):
     """The same underlying space with the coaction pushed through the quotient
     of M.H by a J-tuple (coaction terms hitting the bi-ideal drop out)."""
     Hq, remap = quotient_with_map(M.H, J)
@@ -323,9 +326,7 @@ def restrict_comodule(M, J, name=None):
             if h2 is not None:
                 terms.append((c, h2, lab2))
         coaction[lab] = terms
-    if name is None and M.name:
-        name = f"{M.name} over J={list(J)}"
-    return BasisComodule(Hq, M.labels, degrees, coaction, name=name)
+    return BasisComodule(Hq, M.labels, degrees, coaction)
 
 
 # -- quadric cell comodules ----------------------------------------------------
@@ -375,8 +376,7 @@ def quadric_comodule(n, jtuple):
             if hm is not None:
                 terms.append((1, hm, primed))
         coaction[lab] = terms
-    return BasisComodule(H, labels, degrees, coaction,
-                         name=f"quadric(n={n}, J={list(jtuple)})")
+    return BasisComodule(H, labels, degrees, coaction)
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -32,7 +32,7 @@ from collections import Counter
 
 from . import _linalg
 from .algebra import Element
-from .comod import BasisComodule, _label_key, label_str, restrict_comodule
+from .comod import BasisComodule, label_str, restrict_comodule
 from .jinv import validate_jtuple
 
 
@@ -95,11 +95,10 @@ def partition_blocks(M, extra_edges=()):
     Blocks come back as lists sorted in label order, ordered by their
     smallest member.
     """
-    labels = list(M.labels)
-    known = set(labels)
+    labels = M.position
     for a, b in extra_edges:
         for x in (a, b):
-            if x not in known:
+            if x not in labels:
                 raise ValueError(f"extra edge endpoint {label_str(x)} "
                                  f"is not a label of the comodule")
     parent = {lab: lab for lab in labels}
@@ -118,29 +117,20 @@ def partition_blocks(M, extra_edges=()):
     for a, b in direct_edges(M) | set(map(tuple, extra_edges)):
         union(a, b)
     groups = {}
-    for lab in labels:
+    for lab in labels:  # label order, so each block and the block list are sorted
         groups.setdefault(find(lab), []).append(lab)
-
-    def key(lab):
-        return (M.degree_of(lab), _label_key(lab))
-
-    blocks = [sorted(g, key=key) for g in groups.values()]
-    blocks.sort(key=lambda g: key(g[0]))
-    return blocks
+    return list(groups.values())
 
 
 def to_dot(M, extra_edges=(), name="motive"):
     """Render the partition graph as DOT: one cluster per block, plus the
     symmetrized direct and extra edges."""
     blocks = partition_blocks(M, extra_edges)
-
-    def key(lab):
-        return (M.degree_of(lab), _label_key(lab))
-
+    pos = M.position
     undirected = set()
     for a, b in direct_edges(M) | set(map(tuple, extra_edges)):
         if a != b:
-            undirected.add(tuple(sorted((a, b), key=key)))
+            undirected.add(tuple(sorted((a, b), key=pos.__getitem__)))
     lines = [f"graph {name} {{"]
     for i, block in enumerate(blocks):
         lines.append(f"  subgraph cluster_{i} {{")
@@ -148,7 +138,7 @@ def to_dot(M, extra_edges=(), name="motive"):
         for lab in block:
             lines.append(f'    "{label_str(lab)}";')
         lines.append("  }")
-    for a, b in sorted(undirected, key=lambda e: (key(e[0]), key(e[1]))):
+    for a, b in sorted(undirected, key=lambda e: (pos[e[0]], pos[e[1]])):
         lines.append(f'  "{label_str(a)}" -- "{label_str(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -175,17 +165,16 @@ def rpe_summands(M, J):
     Mq = restrict_comodule(M, J)
     ej = top_ideal_monomial(M.H, J)
     p = M.H.prime
-    cols = Mq.sorted_labels()
-    index = {lab: i for i, lab in enumerate(cols)}
+    pos = M.position  # Mq has the labels and degrees of M
     picked = []
-    echelon = _linalg.Echelon(len(cols), p)
-    for b in cols:
+    echelon = _linalg.Echelon(len(pos), p)
+    for b in pos:
         alpha = {lab: c for (hm, lab), c in Mq.coaction_vec(b).items() if hm == ej}
         if not alpha:
             continue
-        row = [0] * len(cols)
+        row = [0] * len(pos)
         for lab, c in alpha.items():
-            row[index[lab]] = c
+            row[pos[lab]] = c
         if echelon.add(row):
             picked.append((b, alpha))
     return picked
@@ -212,10 +201,9 @@ def line_classes(H):
     The class of index 0 is always the trivial (Tate) one.
     """
     classes = []
-    for i, g in enumerate(H.find_grouplikes()):
+    for g in H.find_grouplikes():
         coaction = {"b": [(c, hm, "b") for hm, c in sorted(g.terms.items())]}
-        classes.append(BasisComodule(H, ("b",), {"b": 0}, coaction,
-                                     name=f"L{i}[{g}]"))
+        classes.append(BasisComodule(H, ("b",), {"b": 0}, coaction))
     return classes
 
 
@@ -247,7 +235,7 @@ def line_tensor_table(H):
     for i, Li in enumerate(classes):
         row = []
         for j, Lj in enumerate(classes):
-            g = rank1_grouplike(tensor_comodule(Li, Lj, name="t"))
+            g = rank1_grouplike(tensor_comodule(Li, Lj))
             key = frozenset(g.terms.items())
             if key not in lookup:
                 raise ValueError("tensor product left the classified set; "

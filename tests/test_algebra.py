@@ -291,6 +291,47 @@ def test_nonconfluent_rules_are_rejected():
                 {"coeff": 1, "left": {}, "right": {n: 1}}] for n in "abc"}))
 
 
+# ---------------------------------------------------------------------------
+# input as the README describes it
+# ---------------------------------------------------------------------------
+
+def test_repeated_coproduct_terms_are_summed():
+    """x (x) 1 listed twice counts twice, so the counit law fails."""
+    B = Bialgebra(3, (GeneratorDecl("x", 1, 3),), (),
+                  {"x": [(1, (1,), (0,)), (1, (1,), (0,)), (1, (0,), (1,))]})
+    assert B.coproducts["x"] == ((1, (0,), (1,)), (2, (1,), (0,)))
+    report = verify_bialgebra(B)
+    assert not report and report.failures[0].startswith("counit law fails on x")
+    term = {"coeff": 1, "left": {"x": 1}, "right": {}}
+    B2 = bialgebra_from_dict({
+        "prime": 3, "generators": [{"name": "x", "degree": 1, "truncation": 3}],
+        "coproducts": {"x": [term, term, {"coeff": 1, "left": {}, "right": {"x": 1}}]}})
+    assert B2.coproducts == B.coproducts
+
+
+# both forms of a rule source, and a zero target
+README_RULES_FILE = """{
+  "prime": 2,
+  "generators": [{"name": "a", "degree": 1, "truncation": 4},
+                 {"name": "b", "degree": 2, "truncation": 4}],
+  "rules": [{"source": {"a": 2}, "target": {"coeff": 1, "monomial": {"b": 1}}},
+            {"source": ["b", 2], "target": null}],
+  "coproducts": {"a": [{"coeff": 1, "left": {"a": 1}, "right": {}},
+                       {"coeff": 1, "left": {}, "right": {"a": 1}}],
+                 "b": [{"coeff": 1, "left": {"b": 1}, "right": {}},
+                       {"coeff": 1, "left": {}, "right": {"b": 1}}]}
+}
+"""
+
+
+def test_rules_file_in_readme_format_loads(tmp_path):
+    path = tmp_path / "ab.json"
+    path.write_text(README_RULES_FILE)
+    B = catalog.load_object_file(str(path))
+    assert B.rules == (RewriteRule((2, 0), (0, 1)), RewriteRule((0, 2), None))
+    assert B.dimension() == 4 and verify_bialgebra(B)
+
+
 def test_grouplikes_form_a_cyclic_group():
     B = catalog.get("k0.pgl5")
     gs = B.find_grouplikes()

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from hopfmotives import catalog
-from hopfmotives.comod import (AlgebraComodule, BasisComodule, coinvariants,
-                               comodule_from_dict, comodule_to_dict,
-                               is_comodule_morphism, label_str,
-                               quadric_comodule, restrict_comodule,
+from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
+                               coinvariants, comodule_from_dict,
+                               comodule_to_dict, is_comodule_morphism,
+                               label_str, quadric_comodule, restrict_comodule,
                                tensor_comodule, verify_comodule)
-from hopfmotives.algebra import SchemaError, TensorElement
+from hopfmotives.algebra import (Algebra, GeneratorDecl, SchemaError,
+                                 TensorElement, bialgebra_to_dict,
+                                 primitive_bialgebra)
 from hopfmotives.jinv import jset_to_tuple, so_borel, valid_jtuples
 
 from test_algebra import (NONCONFLUENT, NONCONFLUENT_ERROR, assert_extends,
@@ -59,6 +61,15 @@ def test_coaction_raw_matches_repeated_product(key):
         assert_extends(M.coaction_raw(mono), repeated_product(one, images, mono), mono)
 
 
+def test_repeated_coaction_terms_are_summed():
+    H = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3),))
+    A = Algebra(3, (GeneratorDecl("y", 1, 3),))
+    M = AlgebraComodule(H, A, {"y": [(1, (0,), (1,)), (1, (0,), (1,))]})
+    assert M.coaction_vec((1,)) == {((0,), (1,)): 2}
+    report = verify_comodule(M)
+    assert not report and "counit law fails on y" in report.failures
+
+
 # -- coinvariants -----------------------------------------------------------------
 
 def test_full_coinvariants_are_the_h_powers():
@@ -92,6 +103,19 @@ def test_empty_degree_has_no_coinvariants():
     # the h-powers stop at h^13; degree 14 holds only x_5 h^9 and x_9 h^5
     M = catalog.get("e7p7.mod2")
     assert coinvariants(M, degree=14) == []
+
+
+def test_coinvariant_mixing_degrees_is_in_no_single_degree():
+    """rho(a) = 1 (x) a + x (x) b, rho(b) = (1 + x) (x) b over K_0(PGL_2):
+    a + b is coinvariant, and neither degree holds a coinvariant."""
+    H = catalog.get("k0.pgl2")
+    one, x = H.unit_mono, (1,)
+    M = BasisComodule(H, ["a", "b"], {"a": 0, "b": 1},
+                      {"a": [(1, one, "a"), (1, x, "b")],
+                       "b": [(1, one, "b"), (1, x, "b")]})
+    assert verify_comodule(M)
+    assert coinvariants(M) == [{"a": 1, "b": 1}]
+    assert coinvariants(M, degree=0) == coinvariants(M, degree=1) == []
 
 
 # -- restriction ------------------------------------------------------------------
@@ -181,6 +205,49 @@ def test_quadric_comodules_all_verify():
     for n in range(3, 11):
         for J in valid_jtuples(so_borel(n)):
             assert verify_comodule(quadric_comodule(n, J)), (n, J)
+
+
+# -- label order -------------------------------------------------------------------
+
+def display_order(M):
+    """The (degree, label) order sorted directly: the oracle for the cached one."""
+    return sorted(M.labels, key=lambda l: (M.degree_of(l), _label_key(l)))
+
+
+def mixed_json_comodule():
+    labels = [5, "b", 10, 0, "a", 2]
+    data = {"flavor": "basis", "hopf": bialgebra_to_dict(catalog.get("k0.pgl2")),
+            "labels": labels, "degrees": [1, 0, 1, 0, 0, 0],
+            "coaction": {label_str(l): [{"coeff": 1, "left": {}, "right": l}]
+                         for l in labels}}
+    return comodule_from_dict(data)
+
+
+ORDER_CASES = {
+    "e7p7.mod2": lambda: catalog.get("e7p7.mod2"),
+    "e8p8.mod3": lambda: catalog.get("e8p8.mod3"),
+    "e7p7.mod2^2": lambda: tensor_comodule(catalog.get("e7p7.mod2"),
+                                           catalog.get("e7p7.mod2")),
+    "json-mixed": mixed_json_comodule,
+    **{f"quadric{n}": lambda n=n: quadric_comodule(n, valid_jtuples(so_borel(n))[0])
+       for n in range(5, 15)},
+}
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_sorted_labels_follow_degree_then_label(case):
+    M = ORDER_CASES[case]()
+    want = display_order(M)
+    got = M.sorted_labels()
+    assert got == want
+    assert [M.position[l] for l in want] == list(range(len(want)))
+    got.reverse()
+    got.append("junk")
+    assert M.sorted_labels() == want
+
+
+def test_json_labels_sort_by_degree_then_ints_then_strings():
+    assert mixed_json_comodule().sorted_labels() == [0, 2, "a", "b", 5, 10]
 
 
 # -- serialization ----------------------------------------------------------------

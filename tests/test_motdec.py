@@ -18,6 +18,8 @@ from hopfmotives.motdec import (closed_form_quadric_edges, direct_edges,
                                 top_ideal_monomial, transitive_closure,
                                 twist_multiset)
 
+from test_comod import mixed_json_comodule
+
 
 def test_transitive_closure():
     edges = {(1, 2), (2, 3), (5, 6)}
@@ -43,6 +45,15 @@ def test_partition_blocks_orders_labels():
     M = quadric_comodule(8, jset_to_tuple(8, (0, 2, 3)))
     blocks = partition_blocks(M, catalog.vishik_edges(6))
     assert blocks == [[0, 2, 3, 5], [1, "3'", 4, 6]]
+
+
+def test_blocks_and_dot_follow_label_order_not_listing_order():
+    # labels listed as 5, "b", 10, 0, "a", 2; display order 0, 2, a, b, 5, 10
+    M = mixed_json_comodule()
+    extra = [(10, "a"), (5, 0)]
+    assert partition_blocks(M, extra) == [[0, 5], [2], ["a", 10], ["b"]]
+    edges = [l for l in to_dot(M, extra).splitlines() if "--" in l]
+    assert edges == ['  "0" -- "5";', '  "a" -- "10";']
 
 
 def test_partition_blocks_rejects_unknown_endpoints():
