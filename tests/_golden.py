@@ -3,8 +3,11 @@
 Every README command, ``catalog show KEY`` and ``verify KEY`` for every
 catalog key, ``dual KEY`` / ``grouplikes KEY`` for every catalog
 bialgebra, ``rpe`` and ``coinv`` of ``e8p8.mod3`` for every J-tuple, global
-``coinv`` of both catalog comodules, and ``quadric`` (plain and ``--dot``)
-for every valid J-set with n = 5..10, each in text and json form.  ``commands.json`` under
+``coinv`` of both catalog comodules, ``quotient KEY --jtuple J`` for every
+J-tuple of every Borel-form catalog bialgebra, ``quadric`` (plain and
+``--dot``) for every valid J-set with n = 5..10, and ``quadric`` on the
+largest-ideal J-set (the J-tuple of zeros) for n = 11..22, each in text and
+json form.  ``commands.json`` under
 ``tests/data/golden`` lists each argv with its exit code and the file that
 holds its stdout.  Re-record (only when an output changes on purpose, and
 say which in CHANGES.md) from the repository root with::
@@ -34,7 +37,8 @@ def slug(argv):
 
 def commands():
     from hopfmotives import catalog
-    from hopfmotives.jinv import so_borel, tuple_to_jset, valid_jtuples
+    from hopfmotives.jinv import (borel_exponents, so_borel, tuple_to_jset,
+                                  valid_jtuples)
 
     show_json = ["catalog", "show", "g2.mod2", "--format", "json"]
     readme = [
@@ -63,11 +67,27 @@ def commands():
         jt = ",".join(map(str, J))
         per_key += [[cmd, "e8p8.mod3", "--jtuple", jt] for cmd in ("rpe", "coinv")]
     per_key += [["coinv", "e8p8.mod3"], ["coinv", "e7p7.mod2"]]
+    for key in catalog.keys():
+        if catalog.kind(key) != "bialgebra":
+            continue
+        B = catalog.get(key)
+        try:
+            borel_exponents(B)
+        except ValueError:
+            continue
+        per_key += [["quotient", key, "--jtuple", ",".join(map(str, J))]
+                    for J in valid_jtuples(B)]
+
+    def jset(n, J):
+        return ",".join(map(str, tuple_to_jset(n, J))) or "none"
+
     for n in range(5, 11):
         for J in valid_jtuples(so_borel(n)):
-            jset = ",".join(map(str, tuple_to_jset(n, J))) or "none"
-            argv = ["quadric", "--n", str(n), "--jset", jset]
+            argv = ["quadric", "--n", str(n), "--jset", jset(n, J)]
             per_key += [argv, argv + ["--dot"]]
+    for n in range(11, 23):
+        zeros = (0,) * so_borel(n).ngens
+        per_key.append(["quadric", "--n", str(n), "--jset", jset(n, zeros)])
     out = []
     for argv in readme + [a for a in per_key if a not in readme]:
         out += [argv, argv + ["--format", "json"]]
