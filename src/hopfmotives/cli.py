@@ -212,11 +212,13 @@ def cmd_quadric(args):
     M = quadric_comodule(args.n, J)
     extra = _load_extra_edges(args.extra_edges) if args.extra_edges else ()
     blocks = partition_blocks(M, extra)
-    if args.dot:
-        print(to_dot(M, extra, name=f"quadric{args.n}"), end="")
-        return 0
     payload = {"n": args.n, "jset": sorted(members), "jtuple": list(J),
                "blocks": [list(b) for b in blocks]}
+    if args.dot:
+        payload["dot"] = to_dot(M, extra, name=f"quadric{args.n}")
+        if args.format == "text":
+            print(payload["dot"], end="")
+            return 0
     text = [f"block {i}: " + " ".join(label_str(l) for l in b)
             for i, b in enumerate(blocks)]
     text.append(f"blocks: {len(blocks)}")
@@ -317,7 +319,8 @@ def build_parser():
                     help="JSON file {\"edges\": [[a, b], ...]} of known "
                          "extra connections")
     xp.add_argument("--dot", action="store_true",
-                    help="emit Graphviz source instead of block lists")
+                    help="emit Graphviz source instead of block lists "
+                         "(with --format json: under the key 'dot')")
     xp.set_defaults(func=cmd_quadric)
 
     rp = sub.add_parser("rpe", parents=[fmt],

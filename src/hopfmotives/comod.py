@@ -37,8 +37,7 @@ from .algebra import (Algebra, SchemaError, TensorElement, VerifyReport,
                       extend_multiplicatively, gen_mono, mono_from_json,
                       mono_to_json, presentation_to_dict,
                       tensor_terms_from_json)
-from .jinv import (quotient_bialgebra, quotient_with_map, so_borel,
-                   validate_jtuple)
+from .jinv import quotient_bialgebra, quotient_with_map, so_borel
 
 
 def _label_key(label):
@@ -349,9 +348,7 @@ def _ebar(H, i):
 
 def quadric_comodule(n, jtuple):
     """The cell comodule of a quadric of dimension n-2 with the given J-tuple."""
-    full = so_borel(n)
-    jtuple = validate_jtuple(full, jtuple)
-    H = quotient_bialgebra(full, jtuple)
+    H = quotient_bialgebra(so_borel(n), jtuple)
     m = (n - 1) // 2
     even = n % 2 == 0
     primed = f"{m}'"

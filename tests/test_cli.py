@@ -164,6 +164,25 @@ def test_quadric_json(capsys):
     assert payload["blocks"][0] == [0, 1, 2, 3, 4, 5]
 
 
+def test_quadric_dot_json_carries_the_dot_source(capsys):
+    argv = ("quadric", "--n", "12", "--jset", "0,1,2,4,5", "--extra-edges",
+            str(DATA / "vishik_dim10.json"))
+    _, dot, _ = run(capsys, *argv, "--dot")
+    _, plain, _ = run(capsys, *argv, "--format", "json")
+    code, out, err = run(capsys, *argv, "--dot", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload.pop("dot") == dot
+    assert payload == json.loads(plain)
+
+
+def test_quadric_largest_ideal_beyond_the_basis_bound(capsys):
+    code, out, _ = run(capsys, "quadric", "--n", "60", "--jset",
+                       ",".join(map(str, range(30))))
+    assert code == 0
+    assert out.splitlines()[-1] == "blocks: 60"
+
+
 def test_rpe_text(capsys):
     code, out, _ = run(capsys, "rpe", "e8p8.mod3", "--jtuple", "1,1")
     assert code == 0

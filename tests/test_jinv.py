@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfmotives import catalog
-from hopfmotives.algebra import borel_normalize, verify_bialgebra
+from hopfmotives.algebra import (Bialgebra, GeneratorDecl, borel_normalize,
+                                 gen_mono, verify_bialgebra)
 from hopfmotives.jinv import (PoincarePoly, borel_exponents,
                               containment_maxima, fpoin, ideal_member,
                               is_bi_ideal, jset_to_tuple, jtuples_containing,
@@ -98,6 +99,85 @@ def test_primitively_generated_tuples_are_all_bi_ideals():
     for J in valid_jtuples(B):
         ok, witness = is_bi_ideal(B, J)
         assert ok, (J, witness)
+
+
+# -- the generator-power test against a scan of every basis monomial ---------
+
+def full_scan_is_bi_ideal(B, J):
+    """Reference: test the coproduct of every basis monomial of the ideal,
+    in basis order, and report the first term with neither factor in it."""
+    bounds = [B.prime ** j for j in validate_jtuple(B, J)]
+
+    def member(mono):
+        return any(e >= b for e, b in zip(mono, bounds))
+
+    for m in B.basis():
+        if not member(m):
+            continue
+        for lm, rm in B.coproduct_mono(m).terms:
+            if not (member(lm) or member(rm)):
+                return False, (m, (lm, rm))
+    return True, None
+
+
+def borel_catalog_keys():
+    out = []
+    for key in catalog.keys():
+        if catalog.kind(key) == "bialgebra":
+            try:
+                borel_exponents(catalog.get(key))
+            except ValueError:
+                continue
+            out.append(key)
+    return out
+
+
+def test_bi_ideal_matches_full_scan_on_the_catalog():
+    checked = failed = 0
+    for key in borel_catalog_keys():
+        B = catalog.get(key)
+        for J in valid_jtuples(B):
+            got = is_bi_ideal(B, J)
+            assert got == full_scan_is_bi_ideal(B, J), (key, J)
+            checked += 1
+            failed += not got[0]
+    assert (checked, failed) == (101, 14)
+
+
+@pytest.mark.parametrize("n", range(3, 19))
+def test_bi_ideal_matches_full_scan_on_so_borel(n):
+    B = so_borel(n)
+    for J in valid_jtuples(B):
+        assert is_bi_ideal(B, J) == full_scan_is_bi_ideal(B, J), (n, J)
+
+
+@st.composite
+def borel_bialgebras(draw):
+    """A small Borel-form bialgebra whose generator coproducts carry random
+    extra terms.  It need not be coassociative or counital: the
+    generator-power test relies only on the coproduct being multiplicative."""
+    p = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(1, 3))
+    gens = [GeneratorDecl(f"x{i}", draw(st.integers(1, 4)),
+                          p ** draw(st.integers(1, 2 if p == 2 else 1)))
+            for i in range(r)]
+    # exponents lean to 0, so that extra terms often avoid the ideal
+    monos = st.tuples(*(st.one_of(st.just(0), st.integers(0, g.truncation - 1))
+                        for g in gens))
+    cops = {}
+    for i, g in enumerate(gens):
+        x, one = gen_mono(r, i), (0,) * r
+        extra = draw(st.lists(st.tuples(st.integers(1, p - 1), monos, monos),
+                              max_size=4))
+        cops[g.name] = [(1, x, one), (1, one, x)] + extra
+    return Bialgebra(p, gens, (), cops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(borel_bialgebras())
+def test_bi_ideal_matches_full_scan_on_random_coproducts(B):
+    for J in valid_jtuples(B):
+        assert is_bi_ideal(B, J) == full_scan_is_bi_ideal(B, J), J
 
 
 # -- quotients ------------------------------------------------------------------

@@ -8,9 +8,11 @@ from collections import Counter
 import pytest
 
 from hopfmotives import catalog
+from hopfmotives.algebra import Algebra
 from hopfmotives.comod import quadric_comodule
-from hopfmotives.jinv import (PoincarePoly, fpoin, jset_to_tuple, so_borel,
-                              tuple_to_jset, valid_jtuples)
+from hopfmotives.jinv import (PoincarePoly, borel_exponents, fpoin,
+                              jset_to_tuple, so_borel, tuple_to_jset,
+                              valid_jtuples)
 from hopfmotives.motdec import (closed_form_quadric_edges, direct_edges,
                                 engine_edges, line_classes, line_tensor_table,
                                 partition_blocks, rank1_grouplike,
@@ -36,6 +38,21 @@ def test_direct_edges_of_a_quadric():
 @pytest.mark.parametrize("n", [7, 12, 14])
 def test_engine_edges_match_closed_form(n):
     for J in valid_jtuples(so_borel(n)):
+        M = quadric_comodule(n, J)
+        members = tuple_to_jset(n, J)
+        assert engine_edges(M) == closed_form_quadric_edges(n, members), (n, J)
+
+
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_engine_edges_of_large_quadrics_need_no_basis(n, monkeypatch):
+    """so_borel(60) has 5.4e8 basis candidates, over the enumeration bound:
+    the bi-ideal test and the edge engine must never list a basis."""
+    def no_basis(self):
+        raise AssertionError("basis() called")
+
+    monkeypatch.setattr(Algebra, "basis", no_basis)
+    ks = borel_exponents(so_borel(n))
+    for J in [(0,) * len(ks), ks, tuple(k // 2 for k in ks)]:
         M = quadric_comodule(n, J)
         members = tuple_to_jset(n, J)
         assert engine_edges(M) == closed_form_quadric_edges(n, members), (n, J)
