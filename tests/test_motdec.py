@@ -11,8 +11,8 @@ from hopfmotives import catalog
 from hopfmotives.algebra import Algebra
 from hopfmotives.comod import quadric_comodule
 from hopfmotives.jinv import (PoincarePoly, borel_exponents, fpoin,
-                              jset_to_tuple, so_borel, tuple_to_jset,
-                              valid_jtuples)
+                              is_bi_ideal, jset_to_tuple, so_borel,
+                              tuple_to_jset, valid_jtuples)
 from hopfmotives.motdec import (closed_form_quadric_edges, direct_edges,
                                 engine_edges, line_classes, line_tensor_table,
                                 partition_blocks, rank1_grouplike,
@@ -51,8 +51,10 @@ def test_engine_edges_of_large_quadrics_need_no_basis(n, monkeypatch):
         raise AssertionError("basis() called")
 
     monkeypatch.setattr(Algebra, "basis", no_basis)
-    ks = borel_exponents(so_borel(n))
+    B = so_borel(n)
+    ks = borel_exponents(B)
     for J in [(0,) * len(ks), ks, tuple(k // 2 for k in ks)]:
+        assert is_bi_ideal(B, J) == (True, None)
         M = quadric_comodule(n, J)
         members = tuple_to_jset(n, J)
         assert engine_edges(M) == closed_form_quadric_edges(n, members), (n, J)
