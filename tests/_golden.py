@@ -3,11 +3,11 @@
 Every README command, ``catalog show KEY`` and ``verify KEY`` for every
 catalog key, ``dual KEY`` / ``grouplikes KEY`` for every catalog
 bialgebra, ``rpe`` and ``coinv`` of ``e8p8.mod3`` for every J-tuple, global
-``coinv`` of both catalog comodules, ``quotient KEY --jtuple J`` for every
-J-tuple of every Borel-form catalog bialgebra, ``quadric`` (plain and
-``--dot``) for every valid J-set with n = 5..10, and ``quadric`` on the
-largest-ideal J-set (the J-tuple of zeros) for n = 11..22, each in text and
-json form.  ``commands.json`` under
+``coinv`` of both catalog comodules, ``quotient KEY --jtuple J`` and
+``dual KEY --jtuple J`` for every J-tuple of every Borel-form catalog
+bialgebra, ``quadric`` (plain and ``--dot``) for every valid J-set with
+n = 5..10, and ``quadric`` on the largest-ideal J-set (the J-tuple of
+zeros) for n = 11..22, each in text and json form.  ``commands.json`` under
 ``tests/data/golden`` lists each argv with its exit code and the file that
 holds its stdout.  Re-record (only when an output changes on purpose, and
 say which in CHANGES.md) from the repository root with::
@@ -75,8 +75,8 @@ def commands():
             borel_exponents(B)
         except ValueError:
             continue
-        per_key += [["quotient", key, "--jtuple", ",".join(map(str, J))]
-                    for J in valid_jtuples(B)]
+        per_key += [[cmd, key, "--jtuple", ",".join(map(str, J))]
+                    for J in valid_jtuples(B) for cmd in ("quotient", "dual")]
 
     def jset(n, J):
         return ",".join(map(str, tuple_to_jset(n, J))) or "none"
