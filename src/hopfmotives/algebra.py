@@ -39,7 +39,6 @@ SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 Monomial = tuple
 
 _BASIS_BOUND = 2_000_000
-_GROUPLIKE_BOUND = 10 ** 6
 
 
 class SchemaError(ValueError):
@@ -620,32 +619,12 @@ class Bialgebra(Algebra):
                          for b, cb in g.terms.items()})
 
     def find_grouplikes(self):
-        """All g with counit(g) = 1 and coproduct(g) = g (x) g, sorted.
+        """All g with counit(g) = 1 and coproduct(g) = g (x) g, sorted: the
+        characters of the dual, read off the blocks of its abelianization
+        (``dual.grouplikes``)."""
+        from .dual import grouplikes
 
-        Read off the blocks of the dual (``dual.grouplikes``) when each block
-        carries at most one; otherwise an exhaustive search over the
-        p^(dim - 1) candidates with unit coordinate 1, refused above
-        ``_GROUPLIKE_BOUND``.
-        """
-        from .dual import DualAlgebra, characters_are_blockwise, grouplikes
-
-        D = DualAlgebra(self)
-        if characters_are_blockwise(D):
-            return grouplikes(D)
-        positive = [m for m in self.basis() if m != self.unit_mono]
-        count = self.prime ** len(positive)
-        if count > _GROUPLIKE_BOUND:
-            raise ValueError(f"group-like search over bound "
-                             f"({count} > {_GROUPLIKE_BOUND} candidates)")
-        out = []
-        for coeffs in itertools.product(range(self.prime), repeat=len(positive)):
-            terms = {self.unit_mono: 1}
-            terms.update({m: c for m, c in zip(positive, coeffs) if c})
-            g = Element(self, terms)
-            if self.is_grouplike(g):
-                out.append(g)
-        out.sort(key=lambda g: sorted(g.terms.items()))
-        return out
+        return grouplikes(self)
 
 
 def primitive_bialgebra(prime, gens, rules=()):

@@ -21,10 +21,10 @@ by Berlekamp's fixed-space method applied to the centre (Friedl--Ronyai):
 Every step is polynomial in dim H; nothing is enumerated or factored.
 
 ``grouplikes`` reads the group-likes of H, the characters of H^dual, off the
-blocks: on a block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K
-is at least the block's dimension.  A block carries at most one character
-when H is cocommutative (H^dual is commutative) or connected graded (H^dual
-is local); ``Bialgebra.find_grouplikes`` uses this route exactly then.
+blocks of its abelianization C = H^dual / H^dual [H^dual, H^dual].  C is
+commutative, so each block is local and carries at most one character: on a
+block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K is at least
+the block's dimension.  Both run on ``TableAlgebra``, structure constants.
 """
 
 from __future__ import annotations
@@ -35,85 +35,45 @@ from dataclasses import dataclass
 from . import _linalg
 
 
-def poly_str(coeffs, var="y"):
-    """Descending-power rendering: [0, 2, 0, 1] -> 'y^3 + 2*y'."""
-    if not coeffs:
-        return "0"
-    bits = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if not c:
-            continue
-        if d == 0:
-            bits.append(str(c))
-        else:
-            t = var if d == 1 else f"{var}^{d}"
-            bits.append(t if c == 1 else f"{c}*{t}")
-    return " + ".join(bits)
+# -- the algebra kernel ---------------------------------------------------------
 
 
-# -- the dual algebra ----------------------------------------------------------
+class TableAlgebra:
+    """A finite-dimensional associative F_p-algebra with basis b_0 .. b_(dim-1):
+    ``table[k]`` lists the (i, j, c) with c the b_k coefficient of b_i b_j.
+    Elements are coordinate tuples; ``unit`` is the unit's."""
 
-
-class DualAlgebra:
-    """H^dual with the convolution product, in the dual monomial basis."""
-
-    def __init__(self, B):
-        self.B = B
-        self.basis = B.basis()
-        self.dim = len(self.basis)
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        self._tables = None
-
-    def _table(self):
-        # per basis monomial m_k: the coproduct terms as (i, j, coeff)
-        if self._tables is None:
-            tables = []
-            for m in self.basis:
-                terms = []
-                for (lm, rm), c in self.B.coproduct_mono(m).terms.items():
-                    terms.append((self.index[lm], self.index[rm], c))
-                tables.append(terms)
-            self._tables = tables
-        return self._tables
-
-    def unit(self):
-        """The counit of H, which is the unit of H^dual."""
-        v = [0] * self.dim
-        v[self.index[self.B.unit_mono]] = 1
-        return tuple(v)
-
-    def dual_basis_vector(self, mono):
-        v = [0] * self.dim
-        v[self.index[tuple(mono)]] = 1
-        return tuple(v)
+    def __init__(self, p, dim, unit, table):
+        self.p, self.dim, self.unit, self.table = p, dim, tuple(unit), table
 
     def multiply(self, u, v):
-        p = self.B.prime
         out = [0] * self.dim
-        for k, terms in enumerate(self._table()):
+        for k, terms in enumerate(self.table):
             acc = 0
             for i, j, c in terms:
                 if u[i] and v[j]:
                     acc += u[i] * v[j] * c
-            out[k] = acc % p
+            out[k] = acc % self.p
         return tuple(out)
 
-    def evaluate(self, u, x):
-        """Evaluate the functional u on an Element (or monomial) of H."""
-        p = self.B.prime
-        if hasattr(x, "terms"):
-            return sum(u[self.index[m]] * c for m, c in x.terms.items()) % p
-        k, nf = self.B.normalize(x)
-        return u[self.index[nf]] * k % p if nf is not None else 0
+    def power(self, v, n):
+        """v^n by square-and-multiply."""
+        out = self.unit
+        while n:
+            if n & 1:
+                out = self.multiply(out, v)
+            n >>= 1
+            if n:
+                v = self.multiply(v, v)
+        return out
 
     def minimal_polynomial(self, v):
         """Monic minimal polynomial of v, ascending coefficient list."""
-        p = self.B.prime
-        powers = [self.unit()]
+        p = self.p
+        powers = [self.unit]
         ech = _linalg.Echelon(self.dim, p)
-        ech.add(list(powers[0]))
-        cur = powers[0]
+        ech.add(list(self.unit))
+        cur = self.unit
         while True:
             cur = self.multiply(cur, v)
             if not ech.add(list(cur)):
@@ -124,16 +84,79 @@ class DualAlgebra:
             powers.append(cur)
 
     def substitute(self, coeffs, v):
-        """Evaluate a polynomial (ascending coeffs) at v inside H^dual."""
-        p = self.B.prime
+        """Evaluate a polynomial (ascending coeffs) at v."""
+        p = self.p
         out = [0] * self.dim
-        power = self.unit()
+        power = self.unit
         for i, c in enumerate(coeffs):
             if c % p:
                 out = [(x + c * y) % p for x, y in zip(out, power)]
             if i + 1 < len(coeffs):
                 power = self.multiply(power, v)
         return tuple(out)
+
+
+class DualAlgebra(TableAlgebra):
+    """H^dual with the convolution product, in the dual monomial basis: the
+    b_k coefficient of f_i f_j is that of m_i (x) m_j in Delta(m_k)."""
+
+    def __init__(self, B):
+        self.B = B
+        self.basis = B.basis()
+        self.index = {m: i for i, m in enumerate(self.basis)}
+        table = [[(self.index[lm], self.index[rm], c)
+                  for (lm, rm), c in B.coproduct_mono(m).terms.items()]
+                 for m in self.basis]
+        super().__init__(B.prime, len(table),
+                         self.dual_basis_vector(B.unit_mono), table)
+
+    def dual_basis_vector(self, mono):
+        return tuple(int(m == tuple(mono)) for m in self.basis)
+
+
+def _abelianization(A):
+    """C = A / I for I = A [A, A], and the image in C of each basis vector of A.
+
+    A character of A kills I.  This left ideal is two-sided, because
+    [a, b] c = [a, bc] - b [a, c], so I is spanned by the b_a v for v in a
+    basis of the commutators.  C's basis is the non-pivot columns of I's rref;
+    its table is A's on non-pivot pairs, each output projected mod I.
+    """
+    p, dim = A.p, A.dim
+    commutators = {}  # (i, j) with i < j -> [b_i, b_j] as {k: c}
+    for k, terms in enumerate(A.table):
+        for i, j, c in terms:
+            if i != j:
+                pair, c = ((i, j), c) if i < j else ((j, i), -c)
+                commutators.setdefault(pair, Counter())[k] += c
+    dense = [[v.get(k, 0) for k in range(dim)] for v in commutators.values()
+             if any(c % p for c in v.values())]
+    ideal = _linalg.Echelon(dim, p)
+    for v in _linalg.rref(dense, dim, p)[0]:
+        left = {}  # a -> b_a v
+        for k, terms in enumerate(A.table):
+            for i, j, c in terms:
+                if v[j]:
+                    left.setdefault(i, [0] * dim)[k] += c * v[j]
+        for w in left.values():
+            ideal.add(w)
+    rows, pivots = _linalg.rref(list(ideal.rows.values()), dim, p)
+    pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in pivots)}
+    proj = [{pos[k]: 1} if k in pos else {} for k in range(dim)]
+    for row, k in zip(rows, pivots):
+        proj[k] = {n: -row[f] % p for f, n in pos.items() if row[f]}
+    table = [Counter() for _ in pos]
+    for k, terms in enumerate(A.table):
+        for i, j, c in terms:
+            if i in pos and j in pos:
+                for n, d in proj[k].items():
+                    table[n][pos[i], pos[j]] += c * d
+    unit = [sum(x * proj[k].get(n, 0) for k, x in enumerate(A.unit)) % p
+            for n in range(len(pos))]
+    C = TableAlgebra(p, len(pos), unit,
+                     [[(i, j, c % p) for (i, j), c in t.items() if c % p]
+                      for t in table])
+    return C, proj
 
 
 def dual_presentation(B):
@@ -157,121 +180,99 @@ class Block:
     idempotent: tuple
 
 
-def _block_dim(D, e):
-    # rank of f -> e*f; column m of its matrix is e*f_m, read off the table
-    mat = [[0] * D.dim for _ in range(D.dim)]
-    for k, terms in enumerate(D._table()):
+def _block_dim(A, e):
+    # rank of f -> e*f; column m of its matrix is e*b_m, read off the table
+    mat = [[0] * A.dim for _ in range(A.dim)]
+    for k, terms in enumerate(A.table):
         for i, j, c in terms:
             mat[k][j] += e[i] * c
-    return _linalg.rank(mat, D.dim, D.B.prime)
+    return _linalg.rank(mat, A.dim, A.p)
 
 
-def _centre(D):
-    """Basis of the centre: the u with u*f_j = f_j*u for every dual-basis f_j.
+def _centre(A):
+    """Basis of the centre: the u with u*b_j = b_j*u for every basis vector b_j.
 
-    Coordinate k of u*f_j - f_j*u is sum_i u_i (c^k_ij - c^k_ji), one row per
+    Coordinate k of u*b_j - b_j*u is sum_i u_i (c^k_ij - c^k_ji), one row per
     (j, k).  The rows of one k are reduced before the next k is read; for a
-    cocommutative H they all vanish and Z is the whole dual.
+    commutative A they all vanish and Z is the whole of A.
     """
-    p = D.B.prime
-    ech = _linalg.Echelon(D.dim, p)
-    for terms in D._table():
+    p = A.p
+    ech = _linalg.Echelon(A.dim, p)
+    for terms in A.table:
         rows = {}
         for i, j, c in terms:
             rows.setdefault(j, Counter())[i] += c
             rows.setdefault(i, Counter())[j] -= c
         for row in rows.values():
             if any(c % p for c in row.values()):
-                dense = [0] * D.dim
-                for i, c in row.items():
-                    dense[i] = c
-                ech.add(dense)
-    return _linalg.kernel_basis(list(ech.rows.values()), D.dim, p)
+                ech.add([row.get(i, 0) for i in range(A.dim)])
+    return _linalg.kernel_basis(list(ech.rows.values()), A.dim, p)
 
 
-def _power(D, v, n):
-    out = D.unit()
-    for _ in range(n):
-        out = D.multiply(out, v)
-    return out
-
-
-def _block_idempotents(D):
-    """Central primitive idempotents of H^dual, in no fixed order."""
-    p = D.B.prime
-    centre = _centre(D)
+def _block_idempotents(A):
+    """Central primitive idempotents of A, in no fixed order."""
+    p = A.p
+    centre = _centre(A)
     # the fixed space of Frobenius on Z: kernel of z -> z^p - z
-    moved = [[(x - y) % p for x, y in zip(_power(D, z, p), z)] for z in centre]
+    moved = [[(x - y) % p for x, y in zip(A.power(z, p), z)] for z in centre]
     fixed = [[sum(a * z[k] for a, z in zip(coeffs, centre)) % p
-              for k in range(D.dim)]
+              for k in range(A.dim)]
              for coeffs in _linalg.kernel_basis(list(zip(*moved)),
                                                 len(centre), p)]
-    unit = D.unit()
-    idempotents = [unit]
+    idempotents = [A.unit]
     for s in fixed:
         # 1 - (s - c)^(p-1) is the sum of the blocks on which s equals c
         lagrange = []
         for c in range(p):
-            shifted = tuple((x - c * u) % p for x, u in zip(s, unit))
+            shifted = tuple((x - c * u) % p for x, u in zip(s, A.unit))
             lagrange.append(tuple((u - x) % p for u, x in
-                                  zip(unit, _power(D, shifted, p - 1))))
+                                  zip(A.unit, A.power(shifted, p - 1))))
         idempotents = [f for e in idempotents for L in lagrange
-                       if any(f := D.multiply(e, L))]
-    _sanity_check(D, idempotents)
+                       if any(f := A.multiply(e, L))]
+    _sanity_check(A, idempotents)
     return idempotents
 
 
-def _character(D, e, size):
-    """The group-like g of the character on block e, or None if it has none.
+def _character(A, e, size):
+    """The coefficients chi(b_k) of the character on block e, or None if it
+    has none.
 
     ``size`` bounds the block's dimension: chi(f) e = (f e)^(p^K) for the
     least p^K >= size, and a block whose residue field is larger than F_p
     gives no multiple of e.
     """
-    p = D.B.prime
+    p = A.p
     pivot = next(k for k, x in enumerate(e) if x)
     inv = pow(e[pivot], -1, p)
-    frobenius_steps = 0
-    while p ** frobenius_steps < size:
-        frobenius_steps += 1
+    frobenius_steps = next(k for k in range(size + 1) if p ** k >= size)
     chi = []
-    for m in D.basis:
-        x = D.multiply(D.dual_basis_vector(m), e)
+    for m in range(A.dim):
+        x = A.multiply([int(k == m) for k in range(A.dim)], e)
         for _ in range(frobenius_steps):
             if not any(x):
                 break
-            x = _power(D, x, p)
+            x = A.power(x, p)
         c = x[pivot] * inv % p
         if any((y - c * z) % p for y, z in zip(x, e)):
             return None
         chi.append(c)
-    return D.B.element(dict(zip(D.basis, chi)))
+    return chi
 
 
-def characters_are_blockwise(D):
-    """Whether each block of H^dual carries at most one character.
-
-    True when H is cocommutative (H^dual is commutative: every block is local)
-    or connected graded, i.e. every coproduct is degree-homogeneous (H^dual is
-    graded with F_p in degree 0, hence local).  Both are read off the table.
-    """
-    deg = [D.B.degree_of(m) for m in D.basis]
-    tables = D._table()
-    return (all(Counter((i, j, c) for i, j, c in terms)
-                == Counter((j, i, c) for i, j, c in terms) for terms in tables)
-            or all(deg[i] + deg[j] == deg[k]
-                   for k, terms in enumerate(tables) for i, j, _ in terms))
-
-
-def grouplikes(D):
-    """The group-likes of H, one per block of H^dual with residue field F_p,
-    sorted by their terms.  Exact only where ``characters_are_blockwise``."""
+def grouplikes(B):
+    """The group-likes of H, sorted by their terms: one per block of the
+    abelianization C of H^dual with residue field F_p, its character pulled
+    back to H^dual (see the module docstring)."""
+    D = DualAlgebra(B)
+    C, proj = _abelianization(D)
     out = []
-    for e in _block_idempotents(D):
-        g = _character(D, e, D.dim)
-        if g is None:
+    for e in _block_idempotents(C):
+        chi = _character(C, e, C.dim)
+        if chi is None:
             continue
-        if not D.B.is_grouplike(g):
+        g = B.element({m: sum(d * chi[n] for n, d in proj[k].items())
+                       for k, m in enumerate(D.basis)})
+        if not B.is_grouplike(g):
             raise AssertionError(f"character {g} of a block is not group-like")
         out.append(g)
     out.sort(key=lambda g: sorted(g.terms.items()))
@@ -283,10 +284,10 @@ def _label_blocks(D, idempotents):
     blocks = []
     for e in idempotents:
         dim = _block_dim(D, e)
-        if D.evaluate(e, D.B.one()) == 1:
+        if e[D.index[D.B.unit_mono]] == 1:
             label = "tate"
         elif dim == 1:
-            label = f"g:{_character(D, e, 1)}"
+            label = f"g:{D.B.element(dict(zip(D.basis, _character(D, e, 1))))}"
         else:
             label = f"dim:{dim}"
         blocks.append(Block(dim, label, tuple(e)))
@@ -306,17 +307,14 @@ def decompose(B):
     return _label_blocks(D, _block_idempotents(D))
 
 
-def _sanity_check(D, idempotents):
-    total = [0] * D.dim
-    for e in idempotents:
-        total = [(x + y) % D.B.prime for x, y in zip(total, e)]
-    if tuple(total) != D.unit():
+def _sanity_check(A, idempotents):
+    if tuple(sum(col) % A.p for col in zip(*idempotents)) != A.unit:
         raise AssertionError("block idempotents do not sum to the unit")
     for i, e in enumerate(idempotents):
-        if D.multiply(e, e) != tuple(e):
+        if A.multiply(e, e) != tuple(e):
             raise AssertionError("block element is not idempotent")
         for f in idempotents[i + 1:]:
-            if any(D.multiply(e, f)) or any(D.multiply(f, e)):
+            if any(A.multiply(e, f)) or any(A.multiply(f, e)):
                 raise AssertionError("block idempotents are not orthogonal")
 
 

@@ -239,7 +239,7 @@ def line_tensor_table(H):
             key = frozenset(g.terms.items())
             if key not in lookup:
                 raise ValueError("tensor product left the classified set; "
-                                 "group-like search was incomplete")
+                                 "the group-likes are not closed under product")
             row.append(lookup[key])
         table.append(row)
     return table

@@ -16,16 +16,10 @@ import sympy
 from hopfmotives import catalog
 from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
                                  TensorElement)
-from hopfmotives.dual import (DualAlgebra, characters_are_blockwise,
-                              decompose, dual_presentation, poly_str,
-                              tate_block)
+from hopfmotives._linalg import kernel_basis
+from hopfmotives.dual import (DualAlgebra, _abelianization, decompose,
+                              dual_presentation, tate_block)
 from hopfmotives.jinv import quotient_bialgebra
-
-
-def test_poly_str():
-    assert poly_str([2, 0, 1]) == "y^2 + 2"
-    assert poly_str([]) == "0"
-    assert poly_str([0, 1]) == "y"
 
 
 # -- dual algebra structure -------------------------------------------------------
@@ -41,8 +35,8 @@ def brute_minpoly(D, v):
     (rank over GF(p) computed by sympy), then brute-forcing the dependency.
     The catalog duals used here are tiny, so p^k search is instant."""
     p = D.B.prime
-    rows = [list(D.unit())]
-    power = D.unit()
+    rows = [list(D.unit)]
+    power = D.unit
     while True:
         power = D.multiply(power, v)
         if sympy_rank_mod_p(rows + [list(power)], p) == len(rows):
@@ -77,7 +71,7 @@ def test_dual_multiplication_is_commutative_and_unital():
     u = D.dual_basis_vector(basis[1])
     v = D.dual_basis_vector(basis[3])
     assert D.multiply(u, v) == D.multiply(v, u)
-    assert D.multiply(D.unit(), u) == u
+    assert D.multiply(D.unit, u) == u
 
 
 def test_dual_presentation_of_a_k_theory_entry():
@@ -156,7 +150,7 @@ def test_idempotents_are_orthogonal():
     total = [0] * D.dim
     for b in blocks:
         total = [(x + y) % 3 for x, y in zip(total, b.idempotent)]
-    assert tuple(total) == D.unit()
+    assert tuple(total) == D.unit
 
 
 # -- exhaustive oracles -------------------------------------------------------------
@@ -194,11 +188,12 @@ def brute_grouplikes(B):
     return sorted(out, key=lambda g: sorted(g.terms.items()))
 
 
-def skew_bialgebra():
-    """F_2[x, y]/(x^2, y^2) with x group-like up to 1 and y skew-primitive:
-    neither cocommutative nor degree-homogeneous."""
+def skew_bialgebra(p):
+    """F_p[x, y]/(x^p, y^p) with 1 + x group-like and y skew-primitive:
+    neither cocommutative nor degree-homogeneous, so a block of the dual may
+    hold several characters."""
     one, x, y = (0, 0), (1, 0), (0, 1)
-    return Bialgebra(2, (GeneratorDecl("x", 1, 2), GeneratorDecl("y", 1, 2)),
+    return Bialgebra(p, (GeneratorDecl("x", 1, p), GeneratorDecl("y", 1, p)),
                      (), {"x": [(1, x, one), (1, one, x), (1, x, x)],
                           "y": [(1, y, one), (1, one, y), (1, x, y)]})
 
@@ -223,14 +218,80 @@ def test_grouplikes_match_exhaustive_search(key):
         [g.terms for g in brute_grouplikes(B)]
 
 
-def test_grouplikes_fall_back_to_search_when_blocks_may_hold_several():
-    B = skew_bialgebra()
+def test_skew_grouplikes_and_blocks_match_exhaustive_search():
+    B = skew_bialgebra(2)
     D = DualAlgebra(B)
-    assert not characters_are_blockwise(D)
     assert [g.terms for g in B.find_grouplikes()] == \
         [g.terms for g in brute_grouplikes(B)]
     assert sorted(b.idempotent for b in decompose(B)) == \
         sorted(brute_idempotents(D))
+
+
+def test_skew_grouplikes_at_p3_match_exhaustive_search():
+    B = skew_bialgebra(3)
+    assert B.verify()
+    gs = B.find_grouplikes()
+    assert [g.terms for g in gs] == [g.terms for g in brute_grouplikes(B)]
+    assert [str(g) for g in gs] == ["1", "1 + x", "1 + 2*x + x^2"]
+
+
+def test_skew_grouplikes_at_p5_are_the_powers_of_one_plus_x():
+    # p^(dim - 1) = 5^24 candidates: beyond any exhaustive search
+    B = skew_bialgebra(5)
+    assert B.verify()
+    g = B.one() + B.gen("x")
+    powers = sorted((g ** k for k in range(5)),
+                    key=lambda h: sorted(h.terms.items()))
+    assert [h.terms for h in B.find_grouplikes()] == [h.terms for h in powers]
+
+
+@pytest.mark.parametrize("B,dim", [(catalog.get("e8.mod2"), 64),
+                                   (skew_bialgebra(2), 2),
+                                   (catalog.get("k0.pgl3"), 3),
+                                   (catalog.get("so13.mod2"), 64)])
+def test_abelianization_dimension(B, dim):
+    assert _abelianization(DualAlgebra(B))[0].dim == dim
+
+
+@pytest.mark.parametrize("B", [catalog.get("e8.mod2"), skew_bialgebra(2)])
+def test_abelianization_kills_a_two_sided_ideal(B):
+    """The kernel I of A -> A/I is closed under multiplication by every dual
+    basis vector, on the left and on the right."""
+    A = DualAlgebra(B)
+    C, proj = _abelianization(A)
+    p = A.p
+
+    def project(x):
+        out = [0] * C.dim
+        for k, c in enumerate(x):
+            for n, d in proj[k].items():
+                out[n] = (out[n] + c * d) % p
+        return out
+
+    matrix = [[proj[k].get(n, 0) for k in range(A.dim)] for n in range(C.dim)]
+    ideal = kernel_basis(matrix, A.dim, p)
+    assert len(ideal) == A.dim - C.dim
+    assert tuple(project(A.unit)) == C.unit
+    for w in ideal:
+        assert not any(project(w))
+        left, right = {}, {}   # a -> b_a w and w b_a
+        for k, terms in enumerate(A.table):
+            for i, j, c in terms:
+                left.setdefault(i, [0] * A.dim)[k] += c * w[j]
+                right.setdefault(j, [0] * A.dim)[k] += w[i] * c
+        for v in list(left.values()) + list(right.values()):
+            assert not any(project(v))
+
+
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_grouplikes_contain_one_and_are_closed_under_product(key):
+    B = catalog.get(key)
+    listed = {frozenset(g.terms.items()) for g in B.find_grouplikes()}
+    assert frozenset(B.one().terms.items()) in listed
+    for g in listed:
+        for h in listed:
+            gh = B.element(dict(g)) * B.element(dict(h))
+            assert frozenset(gh.terms.items()) in listed
 
 
 # -- inputs beyond any exhaustive search ------------------------------------------
