@@ -24,7 +24,8 @@ Every step is polynomial in dim H; nothing is enumerated or factored.
 blocks of its abelianization C = H^dual / H^dual [H^dual, H^dual].  C is
 commutative, so each block is local and carries at most one character: on a
 block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K is at least
-the block's dimension.  Both run on ``TableAlgebra``, structure constants.
+the block's dimension.  Both run on ``TableAlgebra``, an algebra given by
+its structure constants.
 """
 
 from __future__ import annotations
