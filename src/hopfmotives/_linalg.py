@@ -1,85 +1,76 @@
-"""Dense Gaussian elimination over F_p. Rows are lists of ints."""
+"""Sparse Gaussian elimination over F_p.
+
+A row is a mapping {column: coefficient}.  Inputs may be any such mapping
+(a dict or a Counter), with zero, negative or >= p coefficients; every row
+returned is a dict holding only nonzero coefficients in 1..p-1.  Columns
+are ints in range(ncols), and a row's pivot is its least column.
+"""
 
 from __future__ import annotations
 
 
-def rref(rows, ncols, p):
-    """Row-reduce in place-ish; returns (reduced nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col] % p
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def rank(rows, ncols, p):
-    return len(rref(rows, ncols, p)[0])
-
-
-def kernel_basis(rows, ncols, p):
-    """Basis of the right kernel of the matrix, as length-ncols vectors."""
-    reduced, pivots = rref(rows, ncols, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, pc in zip(reduced, pivots):
-            v[pc] = (-r[f]) % p
-        basis.append(v)
-    return basis
-
-
-def solve(rows, rhs, ncols, p):
-    """One solution x of A x = rhs, or None. rhs is a column (list)."""
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, ncols + 1, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, pc in zip(reduced, pivots):
-        x[pc] = r[ncols] % p
-    return x
-
-
 class Echelon:
-    """Incrementally maintained row echelon form for rank queries."""
+    """The reduced row echelon form of the rows added so far, kept fully
+    reduced one row at a time: each row has coefficient 1 at its own pivot
+    and 0 at every other pivot."""
 
     def __init__(self, ncols, p):
         self.ncols = ncols
         self.p = p
-        self.rows = {}  # pivot column -> normalized row
-
-    def _reduce(self, vec):
-        p = self.p
-        vec = [x % p for x in vec]
-        for col, row in self.rows.items():
-            c = vec[col]
-            if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, row)]
-        return vec
+        self.rows = {}  # pivot column -> row
 
     def add(self, vec):
         """Insert a vector; returns True when it enlarged the span."""
-        vec = self._reduce(vec)
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
+        # rows are 0 at each other's pivots, so subtracting one row leaves
+        # vec's coefficients at the other pivots as they were
+        p, rows = self.p, self.rows
+        vec = dict(vec)
+        for j in [j for j in vec if j in rows]:
+            c = vec[j]
+            for k, y in rows[j].items():
+                vec[k] = vec.get(k, 0) - c * y
+        vec = {k: x % p for k, x in vec.items() if x % p}
+        if not vec:
             return False
-        inv = pow(vec[piv], -1, self.p)
-        self.rows[piv] = [x * inv % self.p for x in vec]
+        piv = min(vec)
+        inv = pow(vec[piv], -1, p)
+        new = {k: x * inv % p for k, x in vec.items()}
+        for row in [r for r in rows.values() if piv in r]:
+            c = row[piv]
+            for k, y in new.items():
+                x = (row.get(k, 0) - c * y) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        rows[piv] = new
         return True
 
-    def rank(self):
-        return len(self.rows)
+    def kernel(self):
+        """Basis of the right kernel of the rows, one vector per non-pivot
+        column f: 1 at f, and minus row r's f-coefficient at r's pivot."""
+        basis = {f: {f: 1} for f in range(self.ncols) if f not in self.rows}
+        for piv, row in self.rows.items():
+            for f, c in row.items():
+                if f != piv:
+                    basis[f][piv] = -c % self.p
+        return list(basis.values())
+
+
+def _echelon(rows, ncols, p):
+    ech = Echelon(ncols, p)
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
+def rref(rows, ncols, p):
+    """Reduced row echelon form: (nonzero rows by ascending pivot, pivots)."""
+    ech = _echelon(rows, ncols, p)
+    pivots = sorted(ech.rows)
+    return [ech.rows[c] for c in pivots], pivots
+
+
+def kernel_basis(rows, ncols, p):
+    """Basis of the right kernel of the rows, ordered by non-pivot column."""
+    return _echelon(rows, ncols, p).kernel()

@@ -14,9 +14,10 @@ Coactions are not required to preserve degree (the K-theory comodules do
 not), only the counit and coassociativity laws; ``AlgebraComodule.verify``
 additionally checks the coaction against every rewrite rule of M.
 
-Coinvariants {x : rho(x) = 1 (x) x} are computed by Gaussian elimination,
-either globally or one degree at a time, and returned as a reduced row
-echelon basis in a canonical label order.
+Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one sparse row per
+coaction term, found by ``_linalg``'s sparse elimination either globally or
+one degree at a time, and returned as a reduced row echelon basis in a
+canonical label order.
 
 ``quadric_comodule(n, J)`` builds the cell comodule of an n-2 dimensional
 quadric over the quotient of the mod-2 Borel form of SO_n by a J-tuple:
@@ -240,22 +241,16 @@ def coinvariants(M, degree=None):
     cols = [l for l in M.position if degree is None or M.degree_of(l) == degree]
     if not cols:
         return []
-    rows_index = {}
-    columns = []
-    for b in cols:
+    rows = {}  # coaction term -> {column: coefficient}
+    for j, b in enumerate(cols):
         vec = dict(M.coaction_vec(b))
         key = (H.unit_mono, b)
-        vec[key] = (vec.get(key, 0) - 1) % p
-        columns.append({k: c for k, c in vec.items() if c})
-        for k in columns[-1]:
-            rows_index.setdefault(k, len(rows_index))
-    matrix = [[0] * len(cols) for _ in range(len(rows_index))]
-    for j, colvec in enumerate(columns):
-        for k, c in colvec.items():
-            matrix[rows_index[k]][j] = c
-    kernel = _linalg.kernel_basis(matrix, len(cols), p)
+        vec[key] = vec.get(key, 0) - 1
+        for k, c in vec.items():
+            rows.setdefault(k, {})[j] = c
+    kernel = _linalg.kernel_basis(list(rows.values()), len(cols), p)
     reduced, _ = _linalg.rref(kernel, len(cols), p)
-    return [{cols[j]: c for j, c in enumerate(v) if c} for v in reduced]
+    return [{cols[j]: v[j] for j in sorted(v)} for v in reduced]
 
 
 # -- tensor products and morphisms --------------------------------------------

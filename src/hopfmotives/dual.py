@@ -57,6 +57,17 @@ class TableAlgebra:
             out[k] = acc % self.p
         return tuple(out)
 
+    def left_multiples(self, v):
+        """{m: b_m v} from one walk over the table, for each m that occurs
+        in a term; a product is a dict {k: c}, c not reduced mod p."""
+        out = {}
+        for k, terms in enumerate(self.table):
+            for i, j, c in terms:
+                if v[j]:
+                    row = out.setdefault(i, {})
+                    row[k] = row.get(k, 0) + c * v[j]
+        return out
+
     def power(self, v, n):
         """v^n by square-and-multiply."""
         out = self.unit
@@ -69,20 +80,15 @@ class TableAlgebra:
         return out
 
     def minimal_polynomial(self, v):
-        """Monic minimal polynomial of v, ascending coefficient list."""
-        p = self.p
+        """Monic minimal polynomial of v, ascending coefficient list: the one
+        kernel vector of the powers 1, v, .., v^d, which is 1 at v^d."""
         powers = [self.unit]
-        ech = _linalg.Echelon(self.dim, p)
-        ech.add(list(self.unit))
-        cur = self.unit
-        while True:
-            cur = self.multiply(cur, v)
-            if not ech.add(list(cur)):
-                rows = [[powers[i][r] for i in range(len(powers))]
-                        for r in range(self.dim)]
-                sol = _linalg.solve(rows, list(cur), len(powers), p)
-                return [(-c) % p for c in sol] + [1]
-            powers.append(cur)
+        ech = _linalg.Echelon(self.dim, self.p)
+        while ech.add(dict(enumerate(powers[-1]))):
+            powers.append(self.multiply(powers[-1], v))
+        rows = [{i: x[k] for i, x in enumerate(powers)} for k in range(self.dim)]
+        (kernel,) = _linalg.kernel_basis(rows, len(powers), self.p)
+        return [kernel.get(i, 0) for i in range(len(powers))]
 
     def substitute(self, coeffs, v):
         """Evaluate a polynomial (ascending coeffs) at v."""
@@ -120,8 +126,8 @@ def _abelianization(A):
 
     A character of A kills I.  This left ideal is two-sided, because
     [a, b] c = [a, bc] - b [a, c], so I is spanned by the b_a v for v in a
-    basis of the commutators.  C's basis is the non-pivot columns of I's rref;
-    its table is A's on non-pivot pairs, each output projected mod I.
+    basis of the commutators.  C's basis is the non-pivot columns of I's
+    echelon; its table is A's on non-pivot pairs, each output projected mod I.
     """
     p, dim = A.p, A.dim
     commutators = {}  # (i, j) with i < j -> [b_i, b_j] as {k: c}
@@ -130,22 +136,14 @@ def _abelianization(A):
             if i != j:
                 pair, c = ((i, j), c) if i < j else ((j, i), -c)
                 commutators.setdefault(pair, Counter())[k] += c
-    dense = [[v.get(k, 0) for k in range(dim)] for v in commutators.values()
-             if any(c % p for c in v.values())]
     ideal = _linalg.Echelon(dim, p)
-    for v in _linalg.rref(dense, dim, p)[0]:
-        left = {}  # a -> b_a v
-        for k, terms in enumerate(A.table):
-            for i, j, c in terms:
-                if v[j]:
-                    left.setdefault(i, [0] * dim)[k] += c * v[j]
-        for w in left.values():
+    for v in _linalg.rref(list(commutators.values()), dim, p)[0]:
+        for w in A.left_multiples(tuple(v.get(k, 0) for k in range(dim))).values():
             ideal.add(w)
-    rows, pivots = _linalg.rref(list(ideal.rows.values()), dim, p)
-    pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in pivots)}
+    pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in ideal.rows)}
     proj = [{pos[k]: 1} if k in pos else {} for k in range(dim)]
-    for row, k in zip(rows, pivots):
-        proj[k] = {n: -row[f] % p for f, n in pos.items() if row[f]}
+    for k, row in ideal.rows.items():
+        proj[k] = {pos[f]: -c % p for f, c in row.items() if f != k}
     table = [Counter() for _ in pos]
     for k, terms in enumerate(A.table):
         for i, j, c in terms:
@@ -182,32 +180,30 @@ class Block:
 
 
 def _block_dim(A, e):
-    # rank of f -> e*f; column m of its matrix is e*b_m, read off the table
-    mat = [[0] * A.dim for _ in range(A.dim)]
-    for k, terms in enumerate(A.table):
-        for i, j, c in terms:
-            mat[k][j] += e[i] * c
-    return _linalg.rank(mat, A.dim, A.p)
+    # rank of f -> e*f, spanned by the b_m*e as e is central
+    return len(_linalg.rref(list(A.left_multiples(e).values()), A.dim, A.p)[0])
 
 
 def _centre(A):
     """Basis of the centre: the u with u*b_j = b_j*u for every basis vector b_j.
 
     Coordinate k of u*b_j - b_j*u is sum_i u_i (c^k_ij - c^k_ji), one row per
-    (j, k).  The rows of one k are reduced before the next k is read; for a
-    commutative A they all vanish and Z is the whole of A.
+    (j, k), to which a term with i = j adds nothing.  The rows of one k are
+    reduced before the next k is read; for a commutative A they all vanish
+    and Z is the whole of A.
     """
-    p = A.p
-    ech = _linalg.Echelon(A.dim, p)
+    ech = _linalg.Echelon(A.dim, A.p)
     for terms in A.table:
         rows = {}
         for i, j, c in terms:
-            rows.setdefault(j, Counter())[i] += c
-            rows.setdefault(i, Counter())[j] -= c
+            if i != j:
+                row = rows.setdefault(j, {})
+                row[i] = row.get(i, 0) + c
+                row = rows.setdefault(i, {})
+                row[j] = row.get(j, 0) - c
         for row in rows.values():
-            if any(c % p for c in row.values()):
-                ech.add([row.get(i, 0) for i in range(A.dim)])
-    return _linalg.kernel_basis(list(ech.rows.values()), A.dim, p)
+            ech.add(row)
+    return [tuple(v.get(k, 0) for k in range(A.dim)) for v in ech.kernel()]
 
 
 def _block_idempotents(A):
@@ -216,10 +212,10 @@ def _block_idempotents(A):
     centre = _centre(A)
     # the fixed space of Frobenius on Z: kernel of z -> z^p - z
     moved = [[(x - y) % p for x, y in zip(A.power(z, p), z)] for z in centre]
-    fixed = [[sum(a * z[k] for a, z in zip(coeffs, centre)) % p
+    fixed = [[sum(a * centre[n][k] for n, a in coeffs.items()) % p
               for k in range(A.dim)]
-             for coeffs in _linalg.kernel_basis(list(zip(*moved)),
-                                                len(centre), p)]
+             for coeffs in _linalg.kernel_basis(
+                 [dict(enumerate(row)) for row in zip(*moved)], len(centre), p)]
     idempotents = [A.unit]
     for s in fixed:
         # 1 - (s - c)^(p-1) is the sum of the blocks on which s equals c
@@ -246,9 +242,11 @@ def _character(A, e, size):
     pivot = next(k for k, x in enumerate(e) if x)
     inv = pow(e[pivot], -1, p)
     frobenius_steps = next(k for k in range(size + 1) if p ** k >= size)
+    left = A.left_multiples(e)
     chi = []
     for m in range(A.dim):
-        x = A.multiply([int(k == m) for k in range(A.dim)], e)
+        row = left.get(m, {})
+        x = tuple(row.get(k, 0) % p for k in range(A.dim))
         for _ in range(frobenius_steps):
             if not any(x):
                 break

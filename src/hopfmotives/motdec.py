@@ -172,10 +172,7 @@ def rpe_summands(M, J):
         alpha = {lab: c for (hm, lab), c in Mq.coaction_vec(b).items() if hm == ej}
         if not alpha:
             continue
-        row = [0] * len(pos)
-        for lab, c in alpha.items():
-            row[pos[lab]] = c
-        if echelon.add(row):
+        if echelon.add({pos[lab]: c for lab, c in alpha.items()}):
             picked.append((b, alpha))
     return picked
 

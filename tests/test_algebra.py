@@ -2,7 +2,7 @@
 
 The normal-form tests check the engine against an independent closed-form
 oracle (binary carry arithmetic along e_d, e_2d, e_4d chains); the antipode
-is checked against a dense linear solve of the convolution identity.
+is checked against a direct linear solve of the convolution identity.
 """
 
 from __future__ import annotations
@@ -133,11 +133,9 @@ def brute_force_antipode(B):
     basis = B.basis()
     index = {m: i for i, m in enumerate(basis)}
     n = len(basis)
-    rows = {}
-    rhs = {}
-    # unknowns: S[mono][target] laid out as n*n vector
-    eqs = []
-    eq_rhs = []
+    # unknowns: S[mono][target] laid out as an n*n vector; column n*n
+    # holds the right-hand side of the augmented system
+    system = _linalg.Echelon(n * n + 1, B.prime)
     for b in basis:
         cop = B.coproduct_mono(b)
         acc = {}
@@ -149,15 +147,16 @@ def brute_force_antipode(B):
                 acc.setdefault((prod, l, t), 0)
                 acc[(prod, l, t)] = (acc[(prod, l, t)] + c * cl) % B.prime
         for out in basis:
-            row = [0] * (n * n)
+            row = {n * n: 1 if (b == B.unit_mono and out == B.unit_mono) else 0}
             for (prod, l, t), c in acc.items():
                 if prod == out:
-                    row[index[l] * n + index[t]] = (row[index[l] * n + index[t]] + c) % B.prime
-            want = 1 if (b == B.unit_mono and out == B.unit_mono) else 0
-            eqs.append(row)
-            eq_rhs.append(want)
-    sol = _linalg.solve(eqs, eq_rhs, n * n, B.prime)
-    assert sol is not None, "antipode system must be solvable"
+                    col = index[l] * n + index[t]
+                    row[col] = row.get(col, 0) + c
+            system.add(row)
+    assert n * n not in system.rows, "antipode system must be solvable"
+    sol = [0] * (n * n)
+    for pc, row in system.rows.items():
+        sol[pc] = row.get(n * n, 0)
     return {basis[i]: {basis[j]: sol[i * n + j] for j in range(n)
                        if sol[i * n + j]} for i in range(n)}
 

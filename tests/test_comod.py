@@ -118,6 +118,26 @@ def test_coinvariant_mixing_degrees_is_in_no_single_degree():
     assert coinvariants(M, degree=0) == coinvariants(M, degree=1) == []
 
 
+def test_tensor_square_global_coinvariants():
+    """The 13,220 x 3,136 system of the e7p7 tensor square: the global
+    coinvariants are the sum of the per-degree ones (this coaction keeps
+    degree) and each vector x satisfies rho(x) = 1 (x) x."""
+    M = catalog.get("e7p7.mod2")
+    T = tensor_comodule(M, M)
+    p, one = T.H.prime, T.H.unit_mono
+    vecs = coinvariants(T)
+    degrees = sorted({T.degree_of(l) for l in T.labels})
+    assert len(degrees) == 55
+    assert len(vecs) == 448 == sum(len(coinvariants(T, d)) for d in degrees)
+    for v in vecs:
+        rho = {}
+        for label, c in v.items():
+            for key, d in T.coaction_vec(label).items():
+                rho[key] = rho.get(key, 0) + c * d
+        assert {k: c % p for k, c in rho.items() if c % p} == \
+            {(one, label): c for label, c in v.items()}
+
+
 # -- restriction ------------------------------------------------------------------
 
 def test_restriction_drops_dead_coaction_terms():
