@@ -614,7 +614,7 @@ class Bialgebra(Algebra):
         return self.coproduct(self.gen(name)) == expected
 
     def is_grouplike(self, g):
-        return self.coproduct(g) == TensorElement(
+        return self.counit(g) == 1 and self.coproduct(g) == TensorElement(
             self, self, {(a, b): ca * cb for a, ca in g.terms.items()
                          for b, cb in g.terms.items()})
 

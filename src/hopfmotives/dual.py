@@ -25,12 +25,13 @@ blocks of its abelianization C = H^dual / H^dual [H^dual, H^dual].  C is
 commutative, so each block is local and carries at most one character: on a
 block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K is at least
 the block's dimension.  Both run on ``TableAlgebra``, an algebra given by
-its structure constants.
+its structure constants: ``table[i][j]`` is the nonzero product b_i b_j,
+and it and every element are sparse {k: c} dicts, the row format of
+``_linalg``.  Only ``Block.idempotent`` is a dense coordinate tuple.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import _linalg
@@ -40,33 +41,28 @@ from . import _linalg
 
 
 class TableAlgebra:
-    """A finite-dimensional associative F_p-algebra with basis b_0 .. b_(dim-1):
-    ``table[k]`` lists the (i, j, c) with c the b_k coefficient of b_i b_j.
-    Elements are coordinate tuples; ``unit`` is the unit's."""
+    """A finite-dimensional associative F_p-algebra with basis b_0 .. b_(dim-1).
+
+    ``table[i][j]`` is the product b_i b_j as a dict {k: c}, stored only when
+    it is nonzero.  Every element, ``unit`` included, is a dict {k: c} holding
+    only its nonzero coordinates, each in 1..p-1.
+    """
 
     def __init__(self, p, dim, unit, table):
-        self.p, self.dim, self.unit, self.table = p, dim, tuple(unit), table
+        self.p, self.dim, self.unit, self.table = p, dim, unit, table
 
     def multiply(self, u, v):
-        out = [0] * self.dim
-        for k, terms in enumerate(self.table):
-            acc = 0
-            for i, j, c in terms:
-                if u[i] and v[j]:
-                    acc += u[i] * v[j] * c
-            out[k] = acc % self.p
-        return tuple(out)
-
-    def left_multiples(self, v):
-        """{m: b_m v} from one walk over the table, for each m that occurs
-        in a term; a product is a dict {k: c}, c not reduced mod p."""
+        p, table = self.p, self.table
         out = {}
-        for k, terms in enumerate(self.table):
-            for i, j, c in terms:
-                if v[j]:
-                    row = out.setdefault(i, {})
-                    row[k] = row.get(k, 0) + c * v[j]
-        return out
+        for i, a in u.items():
+            row = table[i]
+            for j, b in v.items():
+                prod = row.get(j)
+                if prod:
+                    ab = a * b
+                    for k, c in prod.items():
+                        out[k] = (out.get(k, 0) + ab * c) % p
+        return {k: c for k, c in out.items() if c}
 
     def power(self, v, n):
         """v^n by square-and-multiply."""
@@ -81,26 +77,46 @@ class TableAlgebra:
 
     def minimal_polynomial(self, v):
         """Monic minimal polynomial of v, ascending coefficient list: the one
-        kernel vector of the powers 1, v, .., v^d, which is 1 at v^d."""
+        relation among the powers 1, v, .., v^d, which is 1 at v^d."""
         powers = [self.unit]
         ech = _linalg.Echelon(self.dim, self.p)
-        while ech.add(dict(enumerate(powers[-1]))):
+        while ech.add(powers[-1]):
             powers.append(self.multiply(powers[-1], v))
-        rows = [{i: x[k] for i, x in enumerate(powers)} for k in range(self.dim)]
-        (kernel,) = _linalg.kernel_basis(rows, len(powers), self.p)
-        return [kernel.get(i, 0) for i in range(len(powers))]
+        (relation,) = _relations(powers, self.p)
+        return [relation.get(n, 0) for n in range(len(powers))]
 
-    def substitute(self, coeffs, v):
-        """Evaluate a polynomial (ascending coeffs) at v."""
-        p = self.p
-        out = [0] * self.dim
-        power = self.unit
-        for i, c in enumerate(coeffs):
-            if c % p:
-                out = [(x + c * y) % p for x, y in zip(out, power)]
-            if i + 1 < len(coeffs):
-                power = self.multiply(power, v)
-        return tuple(out)
+
+def _sum(p, *terms):
+    """The linear combination sum c v of the (c, v) pairs, reduced mod p."""
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x % p for k, x in out.items() if x % p}
+
+
+def _relations(vectors, p):
+    """Basis of the a = {n: a_n} with sum a_n v_n = 0."""
+    rows = {}  # coordinate k -> {n: k-th coordinate of v_n}
+    for n, v in enumerate(vectors):
+        for k, c in v.items():
+            rows.setdefault(k, {})[n] = c
+    return _linalg.kernel_basis(list(rows.values()), len(vectors), p)
+
+
+def _commutators(A):
+    """{(i, j): [b_i, b_j]} over the pairs i < j whose commutator is nonzero;
+    empty exactly when A is commutative."""
+    p, table = A.p, A.table
+    out = {}
+    for i, row in enumerate(table):
+        for j, ij in row.items():
+            ji = table[j].get(i)
+            if i < j and ij != ji:
+                out[i, j] = _sum(p, (1, ij), (-1, ji or {}))
+            elif j < i and ji is None:
+                out[j, i] = _sum(p, (-1, ij))
+    return out
 
 
 class DualAlgebra(TableAlgebra):
@@ -111,51 +127,44 @@ class DualAlgebra(TableAlgebra):
         self.B = B
         self.basis = B.basis()
         self.index = {m: i for i, m in enumerate(self.basis)}
-        table = [[(self.index[lm], self.index[rm], c)
-                  for (lm, rm), c in B.coproduct_mono(m).terms.items()]
-                 for m in self.basis]
+        table = [{} for _ in self.basis]
+        for k, m in enumerate(self.basis):
+            for (lm, rm), c in B.coproduct_mono(m).terms.items():
+                table[self.index[lm]].setdefault(self.index[rm], {})[k] = c
         super().__init__(B.prime, len(table),
                          self.dual_basis_vector(B.unit_mono), table)
 
     def dual_basis_vector(self, mono):
-        return tuple(int(m == tuple(mono)) for m in self.basis)
+        return {self.index[tuple(mono)]: 1}
 
 
 def _abelianization(A):
     """C = A / I for I = A [A, A], and the image in C of each basis vector of A.
 
     A character of A kills I.  This left ideal is two-sided, because
-    [a, b] c = [a, bc] - b [a, c], so I is spanned by the b_a v for v in a
+    [a, b] c = [a, bc] - b [a, c], so I is spanned by the b_m v for v in a
     basis of the commutators.  C's basis is the non-pivot columns of I's
-    echelon; its table is A's on non-pivot pairs, each output projected mod I.
+    echelon; its table is A's on non-pivot pairs, each product projected mod I.
     """
     p, dim = A.p, A.dim
-    commutators = {}  # (i, j) with i < j -> [b_i, b_j] as {k: c}
-    for k, terms in enumerate(A.table):
-        for i, j, c in terms:
-            if i != j:
-                pair, c = ((i, j), c) if i < j else ((j, i), -c)
-                commutators.setdefault(pair, Counter())[k] += c
     ideal = _linalg.Echelon(dim, p)
-    for v in _linalg.rref(list(commutators.values()), dim, p)[0]:
-        for w in A.left_multiples(tuple(v.get(k, 0) for k in range(dim))).values():
-            ideal.add(w)
+    for v in _linalg.rref(list(_commutators(A).values()), dim, p)[0]:
+        for m in range(dim):
+            ideal.add(A.multiply({m: 1}, v))
     pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in ideal.rows)}
     proj = [{pos[k]: 1} if k in pos else {} for k in range(dim)]
     for k, row in ideal.rows.items():
         proj[k] = {pos[f]: -c % p for f, c in row.items() if f != k}
-    table = [Counter() for _ in pos]
-    for k, terms in enumerate(A.table):
-        for i, j, c in terms:
-            if i in pos and j in pos:
-                for n, d in proj[k].items():
-                    table[n][pos[i], pos[j]] += c * d
-    unit = [sum(x * proj[k].get(n, 0) for k, x in enumerate(A.unit)) % p
-            for n in range(len(pos))]
-    C = TableAlgebra(p, len(pos), unit,
-                     [[(i, j, c % p) for (i, j), c in t.items() if c % p]
-                      for t in table])
-    return C, proj
+
+    def project(v):
+        return _sum(p, *((c, proj[k]) for k, c in v.items()))
+
+    table = [{} for _ in pos]
+    for i, n in pos.items():
+        for j, prod in A.table[i].items():
+            if j in pos and (w := project(prod)):
+                table[n][pos[j]] = w
+    return TableAlgebra(p, len(pos), project(A.unit), table), proj
 
 
 def dual_presentation(B):
@@ -163,8 +172,6 @@ def dual_presentation(B):
     functional generates it; returns the ascending monic coefficient list."""
     D = DualAlgebra(B)
     for m in D.basis:
-        if m == B.unit_mono:
-            continue
         mu = D.minimal_polynomial(D.dual_basis_vector(m))
         if len(mu) - 1 == D.dim:
             return mu
@@ -176,56 +183,46 @@ def dual_presentation(B):
 class Block:
     dim: int
     label: str
-    idempotent: tuple
+    idempotent: tuple  # dense coordinates, read by the block sort key
 
 
 def _block_dim(A, e):
     # rank of f -> e*f, spanned by the b_m*e as e is central
-    return len(_linalg.rref(list(A.left_multiples(e).values()), A.dim, A.p)[0])
+    return len(_linalg.rref([A.multiply({m: 1}, e) for m in range(A.dim)],
+                            A.dim, A.p)[0])
 
 
 def _centre(A):
     """Basis of the centre: the u with u*b_j = b_j*u for every basis vector b_j.
 
-    Coordinate k of u*b_j - b_j*u is sum_i u_i (c^k_ij - c^k_ji), one row per
-    (j, k), to which a term with i = j adds nothing.  The rows of one k are
-    reduced before the next k is read; for a commutative A they all vanish
-    and Z is the whole of A.
+    Coordinate k of u*b_j - b_j*u is sum_i u_i [b_i, b_j]_k: one row per
+    (j, k), read off the nonzero commutators.  For a commutative A there are
+    none, and Z is the whole of A.
     """
-    ech = _linalg.Echelon(A.dim, A.p)
-    for terms in A.table:
-        rows = {}
-        for i, j, c in terms:
-            if i != j:
-                row = rows.setdefault(j, {})
-                row[i] = row.get(i, 0) + c
-                row = rows.setdefault(i, {})
-                row[j] = row.get(j, 0) - c
-        for row in rows.values():
-            ech.add(row)
-    return [tuple(v.get(k, 0) for k in range(A.dim)) for v in ech.kernel()]
+    rows = {}  # (j, k) -> {i: [b_i, b_j]_k}
+    for (i, j), w in _commutators(A).items():
+        for k, c in w.items():
+            rows.setdefault((j, k), {})[i] = c
+            rows.setdefault((i, k), {})[j] = -c
+    return _linalg.kernel_basis(list(rows.values()), A.dim, A.p)
 
 
 def _block_idempotents(A):
     """Central primitive idempotents of A, in no fixed order."""
-    p = A.p
+    p, unit = A.p, A.unit
     centre = _centre(A)
-    # the fixed space of Frobenius on Z: kernel of z -> z^p - z
-    moved = [[(x - y) % p for x, y in zip(A.power(z, p), z)] for z in centre]
-    fixed = [[sum(a * centre[n][k] for n, a in coeffs.items()) % p
-              for k in range(A.dim)]
-             for coeffs in _linalg.kernel_basis(
-                 [dict(enumerate(row)) for row in zip(*moved)], len(centre), p)]
-    idempotents = [A.unit]
+    # the fixed space of Frobenius on Z: the relations among the z^p - z
+    fixed = [_sum(p, *((a, centre[n]) for n, a in coeffs.items()))
+             for coeffs in _relations([_sum(p, (1, A.power(z, p)), (-1, z))
+                                       for z in centre], p)]
+    idempotents = [unit]
     for s in fixed:
         # 1 - (s - c)^(p-1) is the sum of the blocks on which s equals c
-        lagrange = []
-        for c in range(p):
-            shifted = tuple((x - c * u) % p for x, u in zip(s, A.unit))
-            lagrange.append(tuple((u - x) % p for u, x in
-                                  zip(A.unit, A.power(shifted, p - 1))))
+        lagrange = [_sum(p, (1, unit),
+                         (-1, A.power(_sum(p, (1, s), (-c, unit)), p - 1)))
+                    for c in range(p)]
         idempotents = [f for e in idempotents for L in lagrange
-                       if any(f := A.multiply(e, L))]
+                       if (f := A.multiply(e, L))]
     _sanity_check(A, idempotents)
     return idempotents
 
@@ -239,20 +236,18 @@ def _character(A, e, size):
     gives no multiple of e.
     """
     p = A.p
-    pivot = next(k for k, x in enumerate(e) if x)
+    pivot = min(e)
     inv = pow(e[pivot], -1, p)
     frobenius_steps = next(k for k in range(size + 1) if p ** k >= size)
-    left = A.left_multiples(e)
     chi = []
     for m in range(A.dim):
-        row = left.get(m, {})
-        x = tuple(row.get(k, 0) % p for k in range(A.dim))
+        x = A.multiply({m: 1}, e)
         for _ in range(frobenius_steps):
-            if not any(x):
+            if not x:
                 break
             x = A.power(x, p)
-        c = x[pivot] * inv % p
-        if any((y - c * z) % p for y, z in zip(x, e)):
+        c = x.get(pivot, 0) * inv % p
+        if x != _sum(p, (c, e)):
             return None
         chi.append(c)
     return chi
@@ -283,13 +278,13 @@ def _label_blocks(D, idempotents):
     blocks = []
     for e in idempotents:
         dim = _block_dim(D, e)
-        if e[D.index[D.B.unit_mono]] == 1:
+        if e.get(D.index[D.B.unit_mono]) == 1:
             label = "tate"
         elif dim == 1:
             label = f"g:{D.B.element(dict(zip(D.basis, _character(D, e, 1))))}"
         else:
             label = f"dim:{dim}"
-        blocks.append(Block(dim, label, tuple(e)))
+        blocks.append(Block(dim, label, tuple(e.get(k, 0) for k in range(D.dim))))
     blocks.sort(key=lambda b: (not b.label == "tate", b.dim, b.label, b.idempotent))
     return blocks
 
@@ -307,13 +302,13 @@ def decompose(B):
 
 
 def _sanity_check(A, idempotents):
-    if tuple(sum(col) % A.p for col in zip(*idempotents)) != A.unit:
+    if _sum(A.p, *((1, e) for e in idempotents)) != A.unit:
         raise AssertionError("block idempotents do not sum to the unit")
     for i, e in enumerate(idempotents):
-        if A.multiply(e, e) != tuple(e):
+        if A.multiply(e, e) != e:
             raise AssertionError("block element is not idempotent")
         for f in idempotents[i + 1:]:
-            if any(A.multiply(e, f)) or any(A.multiply(f, e)):
+            if A.multiply(e, f) or A.multiply(f, e):
                 raise AssertionError("block idempotents are not orthogonal")
 
 

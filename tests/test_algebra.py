@@ -342,6 +342,14 @@ def test_grouplikes_form_a_cyclic_group():
     assert {tuple(sorted(h.terms.items())) for h in gs} == powers
 
 
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_zero_is_not_grouplike_and_one_is(key):
+    # Delta(0) = 0 = 0 (x) 0, so the counit condition is what rules zero out
+    B = catalog.get(key)
+    assert not B.is_grouplike(B.zero())
+    assert B.is_grouplike(B.one())
+
+
 def test_primitive_flags():
     B = catalog.get("e8.mod2")
     assert B.is_primitive("e_3") and B.is_primitive("e_9")

@@ -9,6 +9,7 @@ is small.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 import sympy
@@ -18,12 +19,23 @@ from hopfmotives import catalog
 from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
                                  TensorElement)
 from hopfmotives._linalg import kernel_basis
-from hopfmotives.dual import (DualAlgebra, _abelianization, decompose,
-                              dual_presentation, tate_block)
+from hopfmotives.dual import (DualAlgebra, _abelianization, _centre,
+                              _commutators, decompose, dual_presentation,
+                              tate_block)
 from hopfmotives.jinv import quotient_bialgebra
 
 
 # -- dual algebra structure -------------------------------------------------------
+
+def sparse(v):
+    """A coordinate sequence as the kernel's element format {k: c}, c != 0."""
+    return {k: c for k, c in enumerate(v) if c}
+
+
+def dense(D, v):
+    """An element {k: c} as its tuple of dim coordinates."""
+    return tuple(v.get(k, 0) for k in range(D.dim))
+
 
 def sympy_rank_mod_p(rows, p):
     # Matrix.rank on GF(p) entries can overcount (it gives 2 for
@@ -40,19 +52,20 @@ def brute_minpoly(D, v):
     (rank over GF(p) computed by sympy), then brute-forcing the dependency.
     The catalog duals used here are tiny, so p^k search is instant."""
     p = D.B.prime
-    rows = [list(D.unit)]
+    rows = [list(dense(D, D.unit))]
     power = D.unit
     while True:
         power = D.multiply(power, v)
-        if sympy_rank_mod_p(rows + [list(power)], p) == len(rows):
+        last = list(dense(D, power))
+        if sympy_rank_mod_p(rows + [last], p) == len(rows):
             break
-        rows.append(list(power))
+        rows.append(last)
     k = len(rows)
     for cand in itertools.product(range(p), repeat=k):
         combo = [0] * D.dim
         for c, row in zip(cand, rows):
             combo = [(x + c * y) % p for x, y in zip(combo, row)]
-        if combo == [x % p for x in power]:
+        if combo == last:
             return [(-c) % p for c in cand] + [1]
     raise AssertionError("dependency must exist at the break point")
 
@@ -64,9 +77,7 @@ def test_minimal_polynomial_against_power_dependence(key):
     D = DualAlgebra(B)
     for mono in B.basis():
         v = D.dual_basis_vector(mono)
-        mp = D.minimal_polynomial(v)
-        assert D.substitute(mp, v) == tuple([0] * D.dim)
-        assert list(mp) == brute_minpoly(D, v)
+        assert D.minimal_polynomial(v) == brute_minpoly(D, v)
 
 
 def test_dual_multiplication_is_commutative_and_unital():
@@ -84,6 +95,11 @@ def test_dual_presentation_of_a_k_theory_entry():
     assert len(minpoly) - 1 == 3
     # F_3[y]/(y^3 - y): split semisimple, as the group algebra of Z/3 must be
     assert list(minpoly) == [0, 2, 0, 1]
+
+
+def test_dual_presentation_of_a_one_dimensional_dual():
+    # H^dual = F_2 is generated by its unit functional, with y - 1 = y + 1
+    assert dual_presentation(catalog.get("k0.sc.mod2")) == [1, 1]
 
 
 def test_dual_presentation_can_fail():
@@ -147,15 +163,15 @@ def test_idempotents_are_orthogonal():
     B = catalog.get("k0.pgl3")
     D = DualAlgebra(B)
     blocks = decompose(B)
-    zero = tuple([0] * D.dim)
     for i, bi in enumerate(blocks):
-        assert D.multiply(bi.idempotent, bi.idempotent) == tuple(bi.idempotent)
+        e = sparse(bi.idempotent)
+        assert D.multiply(e, e) == e
         for bj in blocks[i + 1:]:
-            assert D.multiply(bi.idempotent, bj.idempotent) == zero
+            assert D.multiply(e, sparse(bj.idempotent)) == {}
     total = [0] * D.dim
     for b in blocks:
         total = [(x + y) % 3 for x, y in zip(total, b.idempotent)]
-    assert tuple(total) == D.unit
+    assert sparse(total) == D.unit
 
 
 # -- exhaustive oracles -------------------------------------------------------------
@@ -166,13 +182,18 @@ BIALGEBRA_KEYS = [k for k in catalog.keys() if catalog.kind(k) == "bialgebra"]
 
 
 def brute_idempotents(D):
-    """Central primitive idempotents, by enumerating all of F_p^dim."""
-    units = [D.dual_basis_vector(m) for m in D.basis]
-    central = [v for v in itertools.product(range(D.B.prime), repeat=D.dim)
-               if any(v) and D.multiply(v, v) == v
-               and all(D.multiply(v, w) == D.multiply(w, v) for w in units)]
-    return [e for e in central
+    """Central primitive idempotents, by enumerating all of F_p^dim; dense
+    tuples, as ``Block.idempotent`` holds them."""
+    central = [v for v in map(sparse, itertools.product(range(D.B.prime),
+                                                        repeat=D.dim))
+               if v and D.multiply(v, v) == v and is_central(D, v)]
+    return [dense(D, e) for e in central
             if not any(f != e and D.multiply(e, f) == f for f in central)]
+
+
+def is_central(D, v):
+    return all(D.multiply(v, w) == D.multiply(w, v)
+               for w in map(D.dual_basis_vector, D.basis))
 
 
 def square(g):
@@ -268,23 +289,25 @@ def test_abelianization_kills_a_two_sided_ideal(B):
 
     def project(x):
         out = [0] * C.dim
-        for k, c in enumerate(x):
+        for k, c in x.items():
             for n, d in proj[k].items():
                 out[n] = (out[n] + c * d) % p
-        return out
+        return sparse(out)
 
     matrix = [{k: proj[k].get(n, 0) for k in range(A.dim)} for n in range(C.dim)]
     ideal = kernel_basis(matrix, A.dim, p)
     assert len(ideal) == A.dim - C.dim
-    assert tuple(project(A.unit)) == C.unit
+    assert project(A.unit) == C.unit
     for w in ideal:
-        left, right = {}, {}   # a -> b_a w and w b_a
-        for k, terms in enumerate(A.table):
-            for i, j, c in terms:
-                left.setdefault(i, [0] * A.dim)[k] += c * w.get(j, 0)
-                right.setdefault(j, [0] * A.dim)[k] += w.get(i, 0) * c
-        for v in list(left.values()) + list(right.values()):
-            assert not any(project(v))
+        for a in range(A.dim):
+            left, right = [0] * A.dim, [0] * A.dim   # b_a w and w b_a
+            for j, c in w.items():
+                for k, d in A.table[a].get(j, {}).items():
+                    left[k] += d * c
+                for k, d in A.table[j].get(a, {}).items():
+                    right[k] += c * d
+            assert not project(sparse(left))
+            assert not project(sparse(right))
 
 
 @pytest.mark.parametrize("key", BIALGEBRA_KEYS)
@@ -296,6 +319,103 @@ def test_grouplikes_contain_one_and_are_closed_under_product(key):
         for h in listed:
             gh = B.element(dict(g)) * B.element(dict(h))
             assert frozenset(gh.terms.items()) in listed
+
+
+# -- the sparse kernel, against oracles that do not read its table ---------------
+
+KERNEL_KEYS = ["k0.pgl3", "morava.rost.mod2", "k2.e8.mod3.a1", "k2.e8.mod5.a2",
+               "e8.mod3", "so9.mod2"]
+KERNEL_BIALGEBRAS = pytest.mark.parametrize(
+    "B", [catalog.get(k) for k in KERNEL_KEYS]
+    + [skew_bialgebra(2), skew_bialgebra(3)],
+    ids=KERNEL_KEYS + ["skew2", "skew3"])
+
+
+def random_elements(D, seed, count=12):
+    """Sparse elements on 1-4 random basis vectors each."""
+    rng = random.Random(seed)
+    return [{k: rng.randrange(1, D.p)
+             for k in rng.sample(range(D.dim), rng.randint(1, min(4, D.dim)))}
+            for _ in range(count)]
+
+
+def convolution(D, f, g):
+    """(f * g)(m) = sum c f(m_1) g(m_2) over the terms c m_1 (x) m_2 of
+    Delta(m), straight from the coproduct of H."""
+    out = {}
+    for k, m in enumerate(D.basis):
+        x = sum(c * f.get(D.index[m1], 0) * g.get(D.index[m2], 0)
+                for (m1, m2), c in D.B.coproduct_mono(m).terms.items())
+        if x % D.p:
+            out[k] = x % D.p
+    return out
+
+
+@KERNEL_BIALGEBRAS
+def test_multiply_is_the_convolution_product(B):
+    D = DualAlgebra(B)
+    elements = random_elements(D, seed=D.dim)
+    for f, g in zip(elements, elements[1:] + elements[:1]):
+        assert D.multiply(f, g) == convolution(D, f, g)
+    for m in D.basis:
+        f = D.dual_basis_vector(m)
+        assert D.multiply(f, D.unit) == f == D.multiply(D.unit, f)
+
+
+@KERNEL_BIALGEBRAS
+def test_multiply_is_associative(B):
+    D = DualAlgebra(B)
+    elements = random_elements(D, seed=D.dim + 1)
+    for u, v, w in zip(elements, elements[1:], elements[2:]):
+        assert D.multiply(D.multiply(u, v), w) == D.multiply(u, D.multiply(v, w))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_centre_matches_exhaustive_search(p):
+    D = DualAlgebra(skew_bialgebra(p))
+    centre = _centre(D)
+    span = set()
+    for coeffs in itertools.product(range(p), repeat=len(centre)):
+        z = [0] * D.dim
+        for a, v in zip(coeffs, centre):
+            for k, c in v.items():
+                z[k] = (z[k] + a * c) % p
+        span.add(tuple(z))
+    brute = {v for v in itertools.product(range(p), repeat=D.dim)
+             if is_central(D, sparse(v))}
+    assert len(span) == p ** len(centre) < p ** D.dim
+    assert span == brute
+
+
+def test_centre_at_p5_is_the_kernel_of_every_commutator_map():
+    """Beyond an exhaustive search: the centre basis is central, independent,
+    and as large as the kernel of u -> (u b_j - b_j u)_j, whose rank sympy
+    computes from products taken by ``multiply``."""
+    p = 5
+    D = DualAlgebra(skew_bialgebra(p))
+    centre = _centre(D)
+    assert all(is_central(D, z) for z in centre)
+    assert sympy_rank_mod_p([list(dense(D, z)) for z in centre], p) \
+        == len(centre)
+    units = [D.dual_basis_vector(m) for m in D.basis]
+
+    def brackets(u):
+        """The coordinates of every u b_j - b_j u, side by side."""
+        out = []
+        for w in units:
+            out += [(x - y) % p for x, y in zip(dense(D, D.multiply(u, w)),
+                                                dense(D, D.multiply(w, u)))]
+        return out
+
+    rank = sympy_rank_mod_p([brackets(u) for u in units], p)
+    assert len(centre) == D.dim - rank
+
+
+@pytest.mark.parametrize("key", ["so11.mod2", "so13.mod2"])
+def test_commutative_duals_have_no_commutators(key):
+    D = DualAlgebra(catalog.get(key))
+    assert _commutators(D) == {}
+    assert len(_centre(D)) == D.dim
 
 
 # -- inputs beyond any exhaustive search ------------------------------------------
