@@ -14,10 +14,18 @@ Coactions are not required to preserve degree (the K-theory comodules do
 not), only the counit and coassociativity laws; ``AlgebraComodule.verify``
 additionally checks the coaction against every rewrite rule of M.
 
+Each coaction table is built once.  A comodule sorts its labels once, into
+``position`` ((degree, label) order), and indexes them by degree once, into
+``by_degree``.  ``tensor_comodule`` multiplies each pair of distinct
+H-monomials of its factors once, and it and ``restrict_comodule`` hand their
+tables, already in normal form, to the comodule without a second
+normalization; a restriction keeps the ``position`` of the comodule it
+restricts.
+
 Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one sparse row per
 coaction term, found by ``_linalg``'s sparse elimination either globally or
-one degree at a time, and returned as a reduced row echelon basis in a
-canonical label order.
+one degree at a time (reading that degree's labels off ``by_degree``), and
+returned as a reduced row echelon basis in a canonical label order.
 
 ``quadric_comodule(n, J)`` builds the cell comodule of an n-2 dimensional
 quadric over the quotient of the mod-2 Borel form of SO_n by a J-tuple:
@@ -69,6 +77,15 @@ class _ComoduleBase:
         dict iterates in that order.  Built once; do not mutate."""
         order = sorted(self.labels, key=lambda l: (self.degree_of(l), _label_key(l)))
         return {lab: i for i, lab in enumerate(order)}
+
+    @cached_property
+    def by_degree(self):
+        """The labels of each degree, in ``position`` order, as
+        {degree: [labels]}.  Built once; do not mutate."""
+        out = {}
+        for lab in self.position:
+            out.setdefault(self.degree_of(lab), []).append(lab)
+        return out
 
     def sorted_labels(self):
         return list(self.position)
@@ -154,6 +171,18 @@ class BasisComodule(_ComoduleBase):
                 acc[key] = (acc.get(key, 0) + c) % p
             self._table[lab] = {k: c for k, c in acc.items() if c}
 
+    @classmethod
+    def _normal(cls, H, labels, degrees, table):
+        """A comodule from a table already in normal form: ``table[lab]`` is
+        {(normal H-monomial, label): coeff} with every label among ``labels``
+        and every coeff in 1..p-1.  Nothing is checked or normalized again."""
+        self = cls.__new__(cls)
+        self.H = H
+        self.labels = tuple(labels)
+        self._degrees = degrees
+        self._table = table
+        return self
+
     def degree_of(self, label):
         return self._degrees[label]
 
@@ -238,7 +267,7 @@ def coinvariants(M, degree=None):
     """
     H = M.H
     p = H.prime
-    cols = [l for l in M.position if degree is None or M.degree_of(l) == degree]
+    cols = list(M.position) if degree is None else M.by_degree.get(degree, [])
     if not cols:
         return []
     rows = {}  # coaction term -> {column: coefficient}
@@ -256,26 +285,56 @@ def coinvariants(M, degree=None):
 # -- tensor products and morphisms --------------------------------------------
 
 
+def _terms_by_monomial(M):
+    """{label: [(H-monomial, [(label', coeff), ...]), ...]}: each coaction
+    grouped by its H-monomials."""
+    out = {}
+    for lab in M.labels:
+        groups = {}
+        for (hm, lab2), c in M.coaction_vec(lab).items():
+            groups.setdefault(hm, []).append((lab2, c))
+        out[lab] = list(groups.items())
+    return out
+
+
 def tensor_comodule(M, N):
-    """M (x) N with rho(a,b) = (mult_H (x) id)(rho_M(a) (x) rho_N(b))."""
+    """M (x) N with rho(a,b) = (mult_H (x) id)(rho_M(a) (x) rho_N(b)).
+
+    Each pair of H-monomials of the two coactions is multiplied once."""
     if M.H != N.H:
         raise ValueError("tensor factors must live over the same bialgebra")
     H = M.H
     p = H.prime
-    labels = [(a, b) for a in M.labels for b in N.labels]
+    left, right = _terms_by_monomial(M), _terms_by_monomial(N)
+    products = {}
+    table = {}
+    for a, ga in left.items():
+        for b, gb in right.items():
+            acc = {}
+            for h1, ta in ga:
+                for h2, tb in gb:
+                    prod = products.get((h1, h2))
+                    if prod is None:
+                        prod = products[h1, h2] = H.mul_mono(h1, h2)
+                    k, hm = prod
+                    if hm is None:
+                        continue
+                    for a2, c1 in ta:
+                        c1 *= k
+                        for b2, c2 in tb:
+                            key = (hm, (a2, b2))
+                            acc[key] = acc.get(key, 0) + c1 * c2
+            table[a, b] = {key: c % p for key, c in acc.items() if c % p}
+    labels = tuple(table)
     degrees = {(a, b): M.degree_of(a) + N.degree_of(b) for a, b in labels}
-    coaction = {}
-    for a, b in labels:
-        acc = {}
-        for (h1, a2), c1 in M.coaction_vec(a).items():
-            for (h2, b2), c2 in N.coaction_vec(b).items():
-                k, hm = H.mul_mono(h1, h2)
-                if hm is None:
-                    continue
-                key = (hm, (a2, b2))
-                acc[key] = (acc.get(key, 0) + c1 * c2 * k) % p
-        coaction[(a, b)] = [(c, hm, lab) for (hm, lab), c in acc.items() if c]
-    return BasisComodule(H, labels, degrees, coaction)
+    T = BasisComodule._normal(H, labels, degrees, table)
+    # _label_key((a, b)) orders by _label_key(a), then _label_key(b): rank
+    # each factor's labels once instead of keying every pair
+    rank_a, rank_b = ({x: i for i, x in enumerate(sorted(X.labels, key=_label_key))}
+                      for X in (M, N))
+    order = sorted(table, key=lambda ab: (degrees[ab], rank_a[ab[0]], rank_b[ab[1]]))
+    T.position = {ab: i for i, ab in enumerate(order)}
+    return T
 
 
 def is_comodule_morphism(M, N, f):
@@ -309,18 +368,31 @@ def is_comodule_morphism(M, N, f):
 
 def restrict_comodule(M, J):
     """The same underlying space with the coaction pushed through the quotient
-    of M.H by a J-tuple (coaction terms hitting the bi-ideal drop out)."""
+    of M.H by a J-tuple (coaction terms hitting the bi-ideal drop out).
+
+    The labels, degrees and ``position`` are M's; the degrees are read off
+    M's ``by_degree``, built once per comodule."""
     Hq, remap = quotient_with_map(M.H, J)
-    degrees = {lab: M.degree_of(lab) for lab in M.labels}
-    coaction = {}
+    p = Hq.prime
+    images = {}  # H-monomial -> (coeff, normal monomial of Hq or None)
+    table = {}
     for lab in M.labels:
-        terms = []
+        acc = {}
         for (hm, lab2), c in M.coaction_vec(lab).items():
-            h2 = remap(hm)
-            if h2 is not None:
-                terms.append((c, h2, lab2))
-        coaction[lab] = terms
-    return BasisComodule(Hq, M.labels, degrees, coaction)
+            image = images.get(hm)
+            if image is None:
+                h2 = remap(hm)
+                image = images[hm] = (0, None) if h2 is None else Hq.normalize(h2)
+            k, nf = image
+            if nf is None:
+                continue
+            key = (nf, lab2)
+            acc[key] = acc.get(key, 0) + c * k
+        table[lab] = {key: c % p for key, c in acc.items() if c % p}
+    degrees = {lab: d for d, labs in M.by_degree.items() for lab in labs}
+    Mq = BasisComodule._normal(Hq, M.labels, degrees, table)
+    Mq.position = M.position
+    return Mq
 
 
 # -- quadric cell comodules ----------------------------------------------------

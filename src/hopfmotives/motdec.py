@@ -32,7 +32,8 @@ from collections import Counter
 
 from . import _linalg
 from .algebra import Element
-from .comod import BasisComodule, label_str, restrict_comodule
+from .comod import (BasisComodule, label_str, restrict_comodule,
+                    tensor_comodule)
 from .jinv import validate_jtuple
 
 
@@ -165,7 +166,7 @@ def rpe_summands(M, J):
     Mq = restrict_comodule(M, J)
     ej = top_ideal_monomial(M.H, J)
     p = M.H.prime
-    pos = M.position  # Mq has the labels and degrees of M
+    pos = M.position  # Mq has the labels, degrees and positions of M
     picked = []
     echelon = _linalg.Echelon(len(pos), p)
     for b in pos:
@@ -221,8 +222,6 @@ def rank1_isomorphic(L1, L2):
 
 def line_tensor_table(H):
     """table[i][j] = k with L_i (x) L_j isomorphic to L_k."""
-    from .comod import tensor_comodule
-
     classes = line_classes(H)
     gs = [rank1_grouplike(L) for L in classes]
     lookup = {}

@@ -10,10 +10,12 @@ from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
                                comodule_to_dict, is_comodule_morphism,
                                label_str, quadric_comodule, restrict_comodule,
                                tensor_comodule, verify_comodule)
-from hopfmotives.algebra import (Algebra, GeneratorDecl, SchemaError,
-                                 TensorElement, bialgebra_to_dict,
-                                 primitive_bialgebra)
-from hopfmotives.jinv import jset_to_tuple, so_borel, valid_jtuples
+from hopfmotives.algebra import (Algebra, Bialgebra, GeneratorDecl,
+                                 RewriteRule, SchemaError, TensorElement,
+                                 bialgebra_to_dict, primitive_bialgebra)
+from hopfmotives.jinv import (jset_to_tuple, quotient_with_map, so_borel,
+                              valid_jtuples)
+from hopfmotives.motdec import line_classes
 
 from test_algebra import (NONCONFLUENT, NONCONFLUENT_ERROR, assert_extends,
                           repeated_product)
@@ -199,6 +201,156 @@ def test_swapping_basis_vectors_is_not_a_morphism():
     ok, offender = is_comodule_morphism(M, M, f)
     assert not ok
     assert offender in ((0, 1, 0), (5, 0, 0))
+
+
+# -- one-pass tables against the two-pass oracles -------------------------------
+
+def tensor_oracle(M, N):
+    """M (x) N with one ``mul_mono`` per pair of coaction terms, and the table
+    normalized again by the public ``BasisComodule`` constructor."""
+    H, p = M.H, M.H.prime
+    labels = [(a, b) for a in M.labels for b in N.labels]
+    degrees = {(a, b): M.degree_of(a) + N.degree_of(b) for a, b in labels}
+    coaction = {}
+    for a, b in labels:
+        acc = {}
+        for (h1, a2), c1 in M.coaction_vec(a).items():
+            for (h2, b2), c2 in N.coaction_vec(b).items():
+                k, hm = H.mul_mono(h1, h2)
+                if hm is None:
+                    continue
+                key = (hm, (a2, b2))
+                acc[key] = (acc.get(key, 0) + c1 * c2 * k) % p
+        coaction[(a, b)] = [(c, hm, lab) for (hm, lab), c in acc.items() if c]
+    return BasisComodule(H, labels, degrees, coaction)
+
+
+def restrict_oracle(M, J):
+    """M over the J-quotient, one remap per coaction term, the table
+    normalized by the public ``BasisComodule`` constructor."""
+    Hq, remap = quotient_with_map(M.H, J)
+    coaction = {}
+    for lab in M.labels:
+        coaction[lab] = []
+        for (hm, lab2), c in M.coaction_vec(lab).items():
+            h2 = remap(hm)
+            if h2 is not None:
+                coaction[lab].append((c, h2, lab2))
+    return BasisComodule(Hq, M.labels, {lab: M.degree_of(lab) for lab in M.labels},
+                         coaction)
+
+
+def assert_same_comodule(got, want):
+    assert got.H == want.H
+    assert got.labels == want.labels
+    p = got.H.prime
+    for lab in want.labels:
+        assert got.degree_of(lab) == want.degree_of(lab)
+        vec = got.coaction_vec(lab)
+        assert vec == want.coaction_vec(lab), lab
+        assert all(0 < c < p for c in vec.values())
+    assert verify_comodule(got)
+    assert got.sorted_labels() == display_order(got)
+    by_degree = got.by_degree
+    assert list(by_degree) == sorted(by_degree)
+    assert [lab for labs in by_degree.values() for lab in labs] == got.sorted_labels()
+    assert all(got.degree_of(lab) == d for d, labs in by_degree.items() for lab in labs)
+    empty = max(by_degree) + 1
+    assert empty not in by_degree and coinvariants(got, degree=empty) == []
+
+
+def json_comodule_p3():
+    """rho(a) = 1 (x) a, rho(b) = 1 (x) b + 2x (x) a, rho(c) = 1 (x) c +
+    2x (x) b + 2x^2 (x) a over F_3[x]/(x^3) with x primitive, read from JSON."""
+    H = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3),))
+
+    def term(c, e, lab):
+        return {"coeff": c, "left": {"x": e} if e else {}, "right": lab}
+    data = {"flavor": "basis", "hopf": bialgebra_to_dict(H),
+            "labels": ["a", "b", "c"], "degrees": [0, 1, 2],
+            "coaction": {"a": [term(1, 0, "a")],
+                         "b": [term(1, 0, "b"), term(2, 1, "a")],
+                         "c": [term(1, 0, "c"), term(2, 1, "b"), term(2, 2, "a")]}}
+    return comodule_from_dict(data)
+
+
+def test_tensor_square_matches_oracle():
+    M = catalog.get("e7p7.mod2")
+    assert_same_comodule(tensor_comodule(M, M), tensor_oracle(M, M))
+
+
+@pytest.mark.parametrize("J", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_restriction_matches_oracle(J):
+    M = catalog.get("e8p8.mod3")
+    Mq = restrict_comodule(M, J)
+    assert_same_comodule(Mq, restrict_oracle(M, J))
+    assert Mq.position is M.position
+
+
+@pytest.mark.parametrize("J", valid_jtuples(so_borel(9)))
+def test_restriction_that_normalizes_matches_oracle(J):
+    """The quotients of the Borel form of SO_9 lower the truncation of e_1,
+    so restricted coaction terms must be normalized again."""
+    M = regular_comodule(so_borel(9))
+    assert_same_comodule(restrict_comodule(M, J), restrict_oracle(M, J))
+
+
+@pytest.mark.parametrize("key", ["k0.pgl2", "k0.pgl3", "k0.pgl5"])
+def test_tensor_of_line_classes_matches_oracle(key):
+    """Over K_0(PGL_p) the rewrite rules fold products of coaction terms
+    together, into coefficients up to p - 1."""
+    H = catalog.get(key)
+    lines = line_classes(H)
+    coeffs = set()
+    for L1 in lines:
+        for L2 in lines:
+            T = tensor_comodule(L1, L2)
+            assert_same_comodule(T, tensor_oracle(L1, L2))
+            coeffs |= set(T.coaction_vec(("b", "b")).values())
+    assert coeffs == set(range(1, H.prime))
+
+
+def regular_comodule(H):
+    """H as a comodule over itself by its coproduct, on its basis monomials."""
+    basis = H.basis()
+    return BasisComodule(H, basis, {m: H.degree_of(m) for m in basis},
+                         {m: [(c, lm, rm) for (lm, rm), c in
+                              H.coproduct_mono(m).terms.items()]
+                          for m in basis})
+
+
+def rule_coefficient_bialgebra():
+    """F_5[x]/(x^5), x primitive, presented with z = x^2 / 3, so that the
+    rule x^2 -> 3z puts a coefficient 3 into a product of monomials."""
+    one = (0, 0)
+    H = Bialgebra(5, (GeneratorDecl("x", 1, 2), GeneratorDecl("z", 2, 3)),
+                  (RewriteRule((2, 0), (0, 1), 3), RewriteRule((1, 2), None)),
+                  {"x": [(1, (1, 0), one), (1, one, (1, 0))],
+                   "z": [(1, (0, 1), one), (4, (1, 0), (1, 0)), (1, one, (0, 1))]})
+    assert H.mul_mono((1, 0), (1, 0)) == (3, (0, 1))
+    return H
+
+
+def test_tensor_with_rule_coefficients_matches_oracle():
+    M = regular_comodule(rule_coefficient_bialgebra())
+    assert verify_comodule(M)
+    assert_same_comodule(tensor_comodule(M, M), tensor_oracle(M, M))
+
+
+def test_tensor_of_distinct_factors_matches_oracle():
+    M = catalog.get("e7p7.mod2")
+    R = regular_comodule(M.H)
+    assert_same_comodule(tensor_comodule(M, R), tensor_oracle(M, R))
+    assert_same_comodule(tensor_comodule(R, M), tensor_oracle(R, M))
+
+
+def test_tensor_of_json_comodules_matches_oracle():
+    M = json_comodule_p3()
+    assert verify_comodule(M)
+    assert M.coaction_vec("c")[((2,), "a")] == 2
+    N = json_comodule_p3()
+    assert_same_comodule(tensor_comodule(M, M), tensor_oracle(M, M))
+    assert_same_comodule(tensor_comodule(M, N), tensor_oracle(M, N))
 
 
 # -- quadric cell comodules ------------------------------------------------------

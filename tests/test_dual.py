@@ -18,10 +18,10 @@ from sympy.polys.matrices import DomainMatrix
 from hopfmotives import catalog
 from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
                                  TensorElement)
-from hopfmotives._linalg import kernel_basis
-from hopfmotives.dual import (DualAlgebra, _abelianization, _centre,
-                              _commutators, decompose, dual_presentation,
-                              tate_block)
+from hopfmotives._linalg import kernel_basis, rref
+from hopfmotives.dual import (DualAlgebra, TableAlgebra, _abelianization,
+                              _centre, _commutators, decompose,
+                              dual_presentation, tate_block)
 from hopfmotives.jinv import quotient_bialgebra
 
 
@@ -409,6 +409,31 @@ def test_centre_at_p5_is_the_kernel_of_every_commutator_map():
 
     rank = sympy_rank_mod_p([brackets(u) for u in units], p)
     assert len(centre) == D.dim - rank
+
+
+def s3_group_algebra(p):
+    """F_p[S_3] as a TableAlgebra on the six permutations of (0, 1, 2), and
+    the sums of its three conjugacy classes (identity, transpositions,
+    3-cycles) as elements."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(perms)}
+    table = [{index[h]: {index[tuple(g[h[x]] for x in range(3))]: 1}
+              for h in perms} for g in perms]
+    A = TableAlgebra(p, len(perms), {index[(0, 1, 2)]: 1}, table)
+    fixed = {g: sum(g[x] == x for x in range(3)) for g in perms}
+    classes = [{index[g]: 1 for g in perms if fixed[g] == n} for n in (3, 1, 0)]
+    return A, classes
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_centre_of_s3_is_spanned_by_the_class_sums(p):
+    """A noncommutative algebra at p > 2, where a sign error in the
+    commutator rows would change the kernel."""
+    A, classes = s3_group_algebra(p)
+    assert len(_commutators(A)) > 0
+    centre = _centre(A)
+    assert len(centre) == 3
+    assert rref(centre, A.dim, p) == rref(classes, A.dim, p)
 
 
 @pytest.mark.parametrize("key", ["so11.mod2", "so13.mod2"])
