@@ -23,9 +23,11 @@ normalization; a restriction keeps the ``position`` of the comodule it
 restricts.
 
 Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one sparse row per
-coaction term, found by ``_linalg``'s sparse elimination either globally or
-one degree at a time (reading that degree's labels off ``by_degree``), and
-returned as a reduced row echelon basis in a canonical label order.
+coaction term of rho(b) - 1 (x) b, built with no zero entry and found by one
+``_linalg`` elimination, either globally or one degree at a time (reading
+that degree's labels off ``by_degree``).  The columns run in reverse label
+order, so the kernel basis, read backwards, is already the reduced row
+echelon basis in (degree, label) order that is returned.
 
 ``quadric_comodule(n, J)`` builds the cell comodule of an n-2 dimensional
 quadric over the quotient of the mod-2 Borel form of SO_n by a J-tuple:
@@ -266,20 +268,27 @@ def coinvariants(M, degree=None):
     sorted by pivot.
     """
     H = M.H
-    p = H.prime
-    cols = list(M.position) if degree is None else M.by_degree.get(degree, [])
-    if not cols:
-        return []
+    p, unit = H.prime, H.unit_mono
+    labels = M.position if degree is None else M.by_degree.get(degree, ())
+    # columns count the labels from the last: a kernel vector is 1 at its
+    # non-pivot column f and nonzero elsewhere only at pivots below f, that
+    # is at later labels, so read backwards the kernel basis is reduced
+    cols = list(reversed(labels))
     rows = {}  # coaction term -> {column: coefficient}
     for j, b in enumerate(cols):
-        vec = dict(M.coaction_vec(b))
-        key = (H.unit_mono, b)
-        vec[key] = vec.get(key, 0) - 1
+        vec = M.coaction_vec(b)
+        own = (unit, b)
         for k, c in vec.items():
+            if k == own:
+                c -= 1
+                if not c % p:
+                    continue
             rows.setdefault(k, {})[j] = c
+        if own not in vec:
+            rows.setdefault(own, {})[j] = -1
     kernel = _linalg.kernel_basis(list(rows.values()), len(cols), p)
-    reduced, _ = _linalg.rref(kernel, len(cols), p)
-    return [{cols[j]: v[j] for j in sorted(v)} for v in reduced]
+    return [{cols[j]: v[j] for j in sorted(v, reverse=True)}
+            for v in reversed(kernel)]
 
 
 # -- tensor products and morphisms --------------------------------------------
@@ -326,7 +335,8 @@ def tensor_comodule(M, N):
                             acc[key] = acc.get(key, 0) + c1 * c2
             table[a, b] = {key: c % p for key, c in acc.items() if c % p}
     labels = tuple(table)
-    degrees = {(a, b): M.degree_of(a) + N.degree_of(b) for a, b in labels}
+    deg_a, deg_b = ({x: X.degree_of(x) for x in X.labels} for X in (M, N))
+    degrees = {(a, b): deg_a[a] + deg_b[b] for a, b in labels}
     T = BasisComodule._normal(H, labels, degrees, table)
     # _label_key((a, b)) orders by _label_key(a), then _label_key(b): rank
     # each factor's labels once instead of keying every pair

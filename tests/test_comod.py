@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hopfmotives import catalog
+from hopfmotives import _linalg, catalog
 from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
                                coinvariants, comodule_from_dict,
                                comodule_to_dict, is_comodule_morphism,
@@ -15,10 +15,11 @@ from hopfmotives.algebra import (Algebra, Bialgebra, GeneratorDecl,
                                  bialgebra_to_dict, primitive_bialgebra)
 from hopfmotives.jinv import (jset_to_tuple, quotient_with_map, so_borel,
                               valid_jtuples)
-from hopfmotives.motdec import line_classes
+from hopfmotives.motdec import line_classes, partition_blocks
 
 from test_algebra import (NONCONFLUENT, NONCONFLUENT_ERROR, assert_extends,
                           repeated_product)
+from test_linalg import oracle_kernel_basis, oracle_rref
 
 
 def test_catalog_comodules_verify():
@@ -138,6 +139,132 @@ def test_tensor_square_global_coinvariants():
                 rho[key] = rho.get(key, 0) + c * d
         assert {k: c % p for k, c in rho.items() if c % p} == \
             {(one, label): c for label, c in v.items()}
+
+
+# -- coinvariants against the two-elimination oracle ---------------------------
+
+def coinvariants_oracle(M, degree=None):
+    """The coinvariants by two eliminations on the always-reduced oracle
+    echelon: the kernel of one row per coaction term, columns in label order
+    and rho(b) - 1 (x) b copied whole (zero entries kept), then the reduced
+    form of that kernel."""
+    H = M.H
+    p = H.prime
+    cols = list(M.position) if degree is None else M.by_degree.get(degree, [])
+    if not cols:
+        return []
+    rows = {}
+    for j, b in enumerate(cols):
+        vec = dict(M.coaction_vec(b))
+        key = (H.unit_mono, b)
+        vec[key] = vec.get(key, 0) - 1
+        for k, c in vec.items():
+            rows.setdefault(k, {})[j] = c
+    kernel = oracle_kernel_basis(list(rows.values()), len(cols), p)
+    reduced, _ = oracle_rref(kernel, len(cols), p)
+    return [{cols[j]: v[j] for j in sorted(v)} for v in reduced]
+
+
+def assert_coinvariants_match_oracle(M):
+    """Globally and in every degree, the same vectors with the same key order."""
+    for degree in [None, *M.by_degree]:
+        got = coinvariants(M, degree)
+        want = coinvariants_oracle(M, degree)
+        assert [list(v.items()) for v in got] == \
+            [list(v.items()) for v in want], degree
+
+
+def unverified_comodule():
+    """rho(a) = 0, rho(b) = 1 (x) b + 2x (x) a, rho(c) = 2 (x) c and
+    rho(d) = 1 (x) a + 1 (x) d over F_3[x]/(x^3): a has no 1 (x) a term, and
+    its column's counit row is filled by d.  Only a + d is coinvariant."""
+    H = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3),))
+    one, x = H.unit_mono, (1,)
+    return BasisComodule(H, "abcd", {"a": 0, "b": 1, "c": 0, "d": 0},
+                         {"b": [(1, one, "b"), (2, x, "a")],
+                          "c": [(2, one, "c")],
+                          "d": [(1, one, "a"), (1, one, "d")]})
+
+
+def test_tensor_square_coinvariants_match_oracle():
+    M = catalog.get("e7p7.mod2")
+    T = tensor_comodule(M, M)
+    assert len(T.by_degree) == 55
+    assert_coinvariants_match_oracle(T)
+
+
+@pytest.mark.parametrize("J", [None, (0, 0), (0, 1), (1, 0), (1, 1)])
+def test_e8p8_coinvariants_match_oracle(J):
+    M = catalog.get("e8p8.mod3")
+    assert_coinvariants_match_oracle(M if J is None else restrict_comodule(M, J))
+
+
+def test_quadric_coinvariants_match_oracle():
+    for n in range(3, 13):
+        for J in valid_jtuples(so_borel(n)):
+            assert_coinvariants_match_oracle(quadric_comodule(n, J))
+
+
+def test_small_coinvariants_match_oracle():
+    H = catalog.get("k0.pgl2")
+    one, x = H.unit_mono, (1,)
+    mixing = BasisComodule(H, ["a", "b"], {"a": 0, "b": 1},
+                           {"a": [(1, one, "a"), (1, x, "b")],
+                            "b": [(1, one, "b"), (1, x, "b")]})
+    odd = unverified_comodule()
+    assert not verify_comodule(odd)
+    assert coinvariants(odd) == coinvariants(odd, 0) == [{"a": 1, "d": 1}]
+    for M in (json_comodule_p3(), mixing, odd):
+        assert_coinvariants_match_oracle(M)
+
+
+# -- the graded End system of a block ---------------------------------------------
+
+def graded_end_rows(M, block):
+    """The equations rho(f(a)) = (id (x) f)(rho(a)) of a degree-preserving
+    map f of the block: one unknown f[a, b] per label pair of equal degree,
+    and one row per (a, h, b'), the coefficient of h (x) b' (the rows of
+    h = 1 cancel to zero entries).  Returns (rows, {(a, b): unknown})."""
+    p = M.H.prime
+    unknowns = {}
+    for a in block:
+        for b in block:
+            if M.degree_of(a) == M.degree_of(b):
+                unknowns[a, b] = len(unknowns)
+    targets = {}
+    for a, b in unknowns:
+        targets.setdefault(a, []).append(b)
+    rows = {}
+    for (a, b), u in unknowns.items():
+        for (h, b2), c in M.coaction_vec(b).items():
+            row = rows.setdefault((a, h, b2), {})
+            row[u] = (row.get(u, 0) + c) % p
+    for a in block:
+        for (h, a2), c in M.coaction_vec(a).items():
+            for b2 in targets[a2]:
+                row = rows.setdefault((a, h, b2), {})
+                u = unknowns[a2, b2]
+                row[u] = (row.get(u, 0) - c) % p
+    return list(rows.values()), unknowns
+
+
+@pytest.mark.parametrize("key, nunknowns, nrows, dim", [
+    ("e8p8.mod3", 656, 3620, 55), ("e7p7.mod2", 38, 123, 1)])
+def test_graded_end_of_each_block(key, nunknowns, nrows, dim):
+    M = catalog.get(key)
+    p = M.H.prime
+    blocks = partition_blocks(M)
+    assert len(blocks) == 2
+    for block in blocks:
+        rows, unknowns = graded_end_rows(M, block)
+        assert (len(unknowns), len(rows)) == (nunknowns, nrows)
+        kernel = _linalg.kernel_basis(rows, len(unknowns), p)
+        assert len(kernel) == dim
+        assert kernel == oracle_kernel_basis(rows, len(unknowns), p)
+        span = _linalg.Echelon(len(unknowns), p)
+        for v in kernel:
+            span.add(v)
+        assert not span.add({unknowns[a, a]: 1 for a in block})
 
 
 # -- restriction ------------------------------------------------------------------
