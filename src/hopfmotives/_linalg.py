@@ -5,12 +5,15 @@ A row is a mapping {column: coefficient}.  Inputs may be any such mapping
 returned is a dict holding only nonzero coefficients in 1..p-1.  Columns
 are ints in range(ncols), and a row's pivot is its least column.
 
-Elimination runs forward only: each added vector is reduced against the
-pivots already held, and back-substitution waits until the reduced form is
-read.  ``rref`` and ``kernel_basis`` add their rows sparsest first, which
-keeps the fill of forward elimination low.  The reduced row echelon form of
-a span is unique, so neither the order of the rows nor the moment of
-back-substitution changes any result.
+``rref`` and ``kernel_basis`` choose a route by p.  At p = 2 each row is
+packed into an int, one bit per column, set when the coefficient is odd;
+repeated rows are dropped in first-seen order, and the rest are eliminated
+by XOR, sparsest first, with one back-substitution at the end.  At any
+other p the rows are added, sparsest first, to an ``Echelon``, which
+eliminates forward only: each added vector is reduced against the pivots
+already held, and back-substitution waits until the reduced form is read.
+The reduced row echelon form of a span is unique, so neither the route,
+the row order nor the moment of back-substitution changes any result.
 """
 
 from __future__ import annotations
@@ -85,31 +88,74 @@ class Echelon:
         return self._rows
 
     def kernel(self):
-        """Basis of the right kernel of the rows, one vector per non-pivot
-        column f: 1 at f, and minus row r's f-coefficient at r's pivot."""
-        rows = self.rows
-        basis = {f: {f: 1} for f in range(self.ncols) if f not in rows}
-        for piv, row in rows.items():
-            for f, c in row.items():
-                if f != piv:
-                    basis[f][piv] = -c % self.p
-        return list(basis.values())
+        """Basis of the right kernel of the rows, by non-pivot column."""
+        return _kernel(self.rows, self.ncols, self.p)
 
 
-def _echelon(rows, ncols, p):
+def _kernel(rows, ncols, p):
+    """The kernel of {pivot: row} in reduced form, one vector per non-pivot
+    column f: 1 at f, and minus row r's f-coefficient at r's pivot."""
+    basis = {f: {f: 1} for f in range(ncols) if f not in rows}
+    for piv, row in rows.items():
+        for f, c in row.items():
+            if f != piv:
+                basis[f][piv] = -c % p
+    return list(basis.values())
+
+
+def _f2_reduced(rows, ncols):
+    """{pivot: row} in reduced row echelon form over F_2, by packed rows."""
+    # column j is bit ncols - 1 - j, so a row's pivot is its highest bit,
+    # read off int.bit_length() without building a new int
+    packed = {}  # packed row -> None, in first-seen order
+    for row in rows:
+        x = 0
+        for k, c in row.items():
+            if c & 1:
+                x |= 1 << (ncols - 1 - k)
+        packed[x] = None
+    held = {}  # bit length (ncols - pivot column) -> packed row
+    for x in sorted(packed, key=int.bit_count):
+        while x and (b := x.bit_length()) in held:
+            x ^= held[b]
+        if x:
+            held[b] = x
+    # in descending pivot order, XOR with a reduced row clears its pivot bit
+    # and sets no other pivot bit
+    pivots = sum(1 << (b - 1) for b in held)
+    reduced = {}
+    for b in sorted(held):
+        x = held[b]
+        rest = (x & pivots) ^ (1 << (b - 1))
+        while rest:
+            q = rest.bit_length()
+            x ^= held[q]
+            rest ^= 1 << (q - 1)
+        held[b] = x
+        row = reduced[ncols - b] = {}
+        while x:
+            q = x.bit_length()
+            row[ncols - q] = 1
+            x ^= 1 << (q - 1)
+    return reduced
+
+
+def _reduced(rows, ncols, p):
+    if p == 2:
+        return _f2_reduced(rows, ncols)
     ech = Echelon(ncols, p)
     for row in sorted(rows, key=len):
         ech.add(row)
-    return ech
+    return ech.rows
 
 
 def rref(rows, ncols, p):
     """Reduced row echelon form: (nonzero rows by ascending pivot, pivots)."""
-    reduced = _echelon(rows, ncols, p).rows
+    reduced = _reduced(rows, ncols, p)
     pivots = sorted(reduced)
     return [reduced[c] for c in pivots], pivots
 
 
 def kernel_basis(rows, ncols, p):
     """Basis of the right kernel of the rows, ordered by non-pivot column."""
-    return _echelon(rows, ncols, p).kernel()
+    return _kernel(_reduced(rows, ncols, p), ncols, p)

@@ -17,10 +17,11 @@ additionally checks the coaction against every rewrite rule of M.
 Each coaction table is built once.  A comodule sorts its labels once, into
 ``position`` ((degree, label) order), and indexes them by degree once, into
 ``by_degree``.  ``tensor_comodule`` multiplies each pair of distinct
-H-monomials of its factors once, and it and ``restrict_comodule`` hand their
-tables, already in normal form, to the comodule without a second
-normalization; a restriction keeps the ``position`` of the comodule it
-restricts.
+H-monomials of its factors once, and its table shares one tuple per label
+pair and one per coaction key (H-monomial, label pair).  It and
+``restrict_comodule`` hand their tables, already in normal form, to the
+comodule without a second normalization; a restriction keeps the
+``position`` of the comodule it restricts.
 
 Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one sparse row per
 coaction term of rho(b) - 1 (x) b, built with no zero entry and found by one
@@ -315,28 +316,31 @@ def tensor_comodule(M, N):
     H = M.H
     p = H.prime
     left, right = _terms_by_monomial(M), _terms_by_monomial(N)
-    products = {}
+    products = {(h1, h2): H.mul_mono(h1, h2)
+                for h1 in {h for g in left.values() for h, _ in g}
+                for h2 in {h for g in right.values() for h, _ in g}}
+    pairs = {a: {b: (a, b) for b in N.labels} for a in M.labels}
+    keys = {}  # (H-monomial, label pair) -> the one tuple for that key
     table = {}
     for a, ga in left.items():
         for b, gb in right.items():
             acc = {}
             for h1, ta in ga:
                 for h2, tb in gb:
-                    prod = products.get((h1, h2))
-                    if prod is None:
-                        prod = products[h1, h2] = H.mul_mono(h1, h2)
-                    k, hm = prod
+                    k, hm = products[h1, h2]
                     if hm is None:
                         continue
                     for a2, c1 in ta:
                         c1 *= k
+                        row = pairs[a2]
                         for b2, c2 in tb:
-                            key = (hm, (a2, b2))
+                            key = (hm, row[b2])
                             acc[key] = acc.get(key, 0) + c1 * c2
-            table[a, b] = {key: c % p for key, c in acc.items() if c % p}
+            table[pairs[a][b]] = {keys.setdefault(key, key): c % p
+                                  for key, c in acc.items() if c % p}
     labels = tuple(table)
     deg_a, deg_b = ({x: X.degree_of(x) for x in X.labels} for X in (M, N))
-    degrees = {(a, b): deg_a[a] + deg_b[b] for a, b in labels}
+    degrees = {ab: deg_a[ab[0]] + deg_b[ab[1]] for ab in labels}
     T = BasisComodule._normal(H, labels, degrees, table)
     # _label_key((a, b)) orders by _label_key(a), then _label_key(b): rank
     # each factor's labels once instead of keying every pair

@@ -1,6 +1,6 @@
 """Sparse elimination over F_p, checked on random matrices against sympy's
 rank over GF(p), and against an always-reduced echelon kept here as the
-oracle for the forward-only one.
+oracle for the forward-only one and for the packed route at p = 2.
 
 Rows are drawn as {column: coefficient} dicts that may be empty and may hold
 zero, negative and >= p coefficients.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,14 +177,45 @@ def test_rref_and_kernel_do_not_depend_on_row_order(case, rnd):
         assert _linalg.kernel_basis(order, ncols, p) == want_kernel
 
 
-def test_rref_of_a_larger_random_system_matches_the_oracle():
-    """A 60 x 40 system over F_5, a third of it dependent, in three orders."""
+@st.composite
+def f2_matrices(draw):
+    """Rows for p = 2 on up to 100 columns, so that packed rows cross
+    CPython's 30-bit int digits, with rows repeated or equal only mod 2
+    (odd coefficients moved by even ones, even entries added) inserted."""
+    ncols = draw(st.integers(1, 100))
+    col = st.integers(0, ncols - 1)
+    rows = draw(st.lists(st.dictionaries(col, st.integers(-4, 4)), max_size=16))
+    for _ in range(draw(st.integers(0, 8)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        twin = {k: c + 2 * draw(st.integers(-2, 2)) for k, c in row.items()}
+        for k in draw(st.lists(col, max_size=3)):
+            twin.setdefault(k, 2 * draw(st.integers(-2, 2)))
+        rows.insert(draw(st.integers(0, len(rows))), twin)
+    return ncols, rows + draw(st.lists(st.just({}), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f2_matrices())
+def test_f2_rref_and_kernel_match_the_oracle(case):
+    ncols, rows = case
+    reduced, pivots = _linalg.rref(rows, ncols, 2)
+    kernel = _linalg.kernel_basis(rows, ncols, 2)
+    assert (reduced, pivots) == oracle_rref(rows, ncols, 2)
+    assert kernel == oracle_kernel_basis(rows, ncols, 2)
+    assert all(c == 1 for v in reduced + kernel for c in v.values())
+
+
+@pytest.mark.parametrize("p, ncols, c", [(5, 40, 2), (2, 240, 3)],
+                         ids=["p5", "p2"])
+def test_rref_of_a_larger_random_system_matches_the_oracle(p, ncols, c):
+    """A system of ncols rows plus half as many dependent ones, c * a - b
+    for rows a and b (a + b over F_2), in three orders: 60 x 40 over F_5,
+    and 360 x 240 over F_2, whose packed rows span eight 30-bit digits."""
     rnd = random.Random(11)
-    p, ncols = 5, 40
     rows = [{rnd.randrange(ncols): rnd.randrange(-p, 2 * p) for _ in range(4)}
-            for _ in range(40)]
-    rows += [{k: 2 * a.get(k, 0) - b.get(k, 0) for k in set(a) | set(b)}
-             for a, b in zip(rows, rows[1:21])]
+            for _ in range(ncols)]
+    rows += [{k: c * a.get(k, 0) - b.get(k, 0) for k in set(a) | set(b)}
+             for a, b in zip(rows, rows[1:ncols // 2 + 1])]
     want = oracle_rref(rows, ncols, p), oracle_kernel_basis(rows, ncols, p)
     for order in (rows, rows[::-1], rnd.sample(rows, len(rows))):
         assert (_linalg.rref(order, ncols, p),
