@@ -16,9 +16,10 @@ additionally checks the coaction against every rewrite rule of M.
 
 Each coaction table is built once.  A comodule sorts its labels once, into
 ``position`` ((degree, label) order), and indexes them by degree once, into
-``by_degree``.  ``tensor_comodule`` multiplies each pair of distinct
-H-monomials of its factors once, and its table shares one tuple per label
-pair and one per coaction key (H-monomial, label pair).  It and
+``by_degree``.  ``tensor_comodule`` reads each factor's coaction once and
+multiplies each pair of distinct H-monomials once, into rows on int keys;
+its table shares one tuple per label pair and per key (H-monomial, label
+pair), built when the key is first met.  It and
 ``restrict_comodule`` hand their tables, already in normal form, to the
 comodule without a second normalization; a restriction keeps the
 ``position`` of the comodule it restricts.
@@ -113,7 +114,6 @@ class _ComoduleBase:
         report = VerifyReport()
         H = self.H
         p = H.prime
-        unit = H.unit_mono
         for b in self.labels:
             vec = self.coaction_vec(b)
             counit = {}
@@ -295,49 +295,55 @@ def coinvariants(M, degree=None):
 # -- tensor products and morphisms --------------------------------------------
 
 
-def _terms_by_monomial(M):
-    """{label: [(H-monomial, [(label', coeff), ...]), ...]}: each coaction
-    grouped by its H-monomials."""
-    out = {}
-    for lab in M.labels:
-        groups = {}
-        for (hm, lab2), c in M.coaction_vec(lab).items():
-            groups.setdefault(hm, []).append((lab2, c))
-        out[lab] = list(groups.items())
-    return out
-
-
 def tensor_comodule(M, N):
     """M (x) N with rho(a,b) = (mult_H (x) id)(rho_M(a) (x) rho_N(b)).
 
-    Each pair of H-monomials of the two coactions is multiplied once."""
+    Each H-monomial h of rho_M times each rho_N(b) is one row of (int key,
+    coeff), keyed (index of the product monomial) * rank(M (x) N) + (index
+    of the label pair); rho(a, b) sums those rows, shifted to the labels of
+    rho_M(a), mod p."""
     if M.H != N.H:
         raise ValueError("tensor factors must live over the same bialgebra")
     H = M.H
     p = H.prime
-    left, right = _terms_by_monomial(M), _terms_by_monomial(N)
-    products = {(h1, h2): H.mul_mono(h1, h2)
-                for h1 in {h for g in left.values() for h, _ in g}
-                for h2 in {h for g in right.values() for h, _ in g}}
-    pairs = {a: {b: (a, b) for b in N.labels} for a in M.labels}
-    keys = {}  # (H-monomial, label pair) -> the one tuple for that key
+    right = [N.coaction_vec(b) for b in N.labels]
+    hs2 = {h2 for vec in right for h2, _b2 in vec}
+    col = {b: j for j, b in enumerate(N.labels)}
+    shift = {a: i * len(right) for i, a in enumerate(M.labels)}
+    size = len(shift) * len(right)
+    monos = {}  # product H-monomial -> its index times size
+    rows = {}  # H-monomial h of rho_M -> [h * rho_N(b) as (key, coeff) pairs]
+    left = {}
+    for a in M.labels:
+        left[a] = terms = []
+        for (h1, a2), c1 in M.coaction_vec(a).items():
+            if h1 not in rows:
+                prods = {h2: H.mul_mono(h1, h2) for h2 in hs2}
+                rows[h1] = [[(monos.setdefault(hm, len(monos) * size) + col[b2], k * c2)
+                             for (h2, b2), c2 in vec.items()
+                             for k, hm in (prods[h2],) if hm is not None]
+                            for vec in right]
+            terms.append((rows[h1], shift[a2], c1))
+    hms = list(monos)
+    pairs = [(a, b) for a in M.labels for b in N.labels]
+    keys = {}  # int key -> the one (H-monomial, label pair) tuple
     table = {}
-    for a, ga in left.items():
-        for b, gb in right.items():
+    for a, terms in left.items():
+        for j in range(len(right)):
             acc = {}
-            for h1, ta in ga:
-                for h2, tb in gb:
-                    k, hm = products[h1, h2]
-                    if hm is None:
-                        continue
-                    for a2, c1 in ta:
-                        c1 *= k
-                        row = pairs[a2]
-                        for b2, c2 in tb:
-                            key = (hm, row[b2])
-                            acc[key] = acc.get(key, 0) + c1 * c2
-            table[pairs[a][b]] = {keys.setdefault(key, key): c % p
-                                  for key, c in acc.items() if c % p}
+            for rows_h, s, c1 in terms:
+                for key, c in rows_h[j]:
+                    key += s
+                    acc[key] = acc.get(key, 0) + c1 * c
+            vec = {}
+            for key, c in acc.items():
+                if c % p:
+                    t = keys.get(key)
+                    if t is None:
+                        q, r = divmod(key, size)
+                        t = keys[key] = (hms[q], pairs[r])
+                    vec[t] = c % p
+            table[pairs[shift[a] + j]] = vec
     labels = tuple(table)
     deg_a, deg_b = ({x: X.degree_of(x) for x in X.labels} for X in (M, N))
     degrees = {ab: deg_a[ab[0]] + deg_b[ab[1]] for ab in labels}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopfmotives import _linalg, catalog
 from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
@@ -478,6 +480,67 @@ def test_tensor_of_json_comodules_matches_oracle():
     N = json_comodule_p3()
     assert_same_comodule(tensor_comodule(M, M), tensor_oracle(M, M))
     assert_same_comodule(tensor_comodule(M, N), tensor_oracle(M, N))
+
+
+@st.composite
+def comodule_pairs(draw):
+    """Two random BasisComodules over F_p[x]/(x^n), x primitive, with int
+    and str labels and ranks from 1.  Their tables need not be coassociative;
+    terms may repeat, hit x^n = 0, or carry coefficients that are 0, negative
+    or >= p, so that sums inside one label pair can cancel mod p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 4))
+    H = primitive_bialgebra(p, (GeneratorDecl("x", 1, n),))
+
+    def comodule():
+        labels = draw(st.lists(st.one_of(st.integers(0, 5), st.sampled_from("abc")),
+                               min_size=1, max_size=4, unique=True))
+        term = st.tuples(st.integers(-p, p), st.integers(0, n).map(lambda e: (e,)),
+                         st.sampled_from(labels))
+        return BasisComodule(H, labels, {lab: draw(st.integers(0, 3)) for lab in labels},
+                             {lab: draw(st.lists(term, max_size=5)) for lab in labels})
+    return comodule(), comodule()
+
+
+def cancelling_pair(p):
+    """(1 (x) a + x (x) a) and (x (x) 0 - 1 (x) 0): their tensor puts
+    1 - 1 = 0 on x (x) (a, 0), inside the one label pair."""
+    H = primitive_bialgebra(p, (GeneratorDecl("x", 1, p),))
+    return (BasisComodule(H, ["a"], {"a": 0}, {"a": [(1, (0,), "a"), (1, (1,), "a")]}),
+            BasisComodule(H, [0], {0: 0}, {0: [(1, (1,), 0), (-1, (0,), 0)]}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(comodule_pairs())
+@example(cancelling_pair(2))
+@example(cancelling_pair(3))
+@example(cancelling_pair(5))
+def test_tensor_of_random_comodules_matches_oracle(pair):
+    M, N = pair
+    got, want = tensor_comodule(M, N), tensor_oracle(M, N)
+    assert got.labels == want.labels
+    for lab in want.labels:
+        assert got.degree_of(lab) == want.degree_of(lab)
+        assert got.coaction_vec(lab) == want.coaction_vec(lab), lab
+    assert list(got.position.items()) == list(want.position.items())
+
+
+def test_tensor_square_reads_each_coaction_once_and_shares_keys(monkeypatch):
+    """Equal keys of the e7p7.mod2 square are one object, and each factor's
+    coaction is read once per label (each read of an ``AlgebraComodule``
+    coaction is a call into the algebra layer)."""
+    M = catalog.get("e7p7.mod2")
+    calls, read = {}, M.coaction_vec
+
+    def counted(lab):
+        calls[lab] = calls.get(lab, 0) + 1
+        return read(lab)
+    monkeypatch.setattr(M, "coaction_vec", counted)
+    T = tensor_comodule(M, M)
+    assert calls == {lab: 2 for lab in M.labels}  # once as M, once as N
+    keys = [key for ab in T.labels for key in T.coaction_vec(ab)]
+    assert len({id(key) for key in keys}) == len(set(keys)) == 16_356
+    assert len({id(ab) for ab in T.labels} | {id(key[1]) for key in keys}) == 3_136
 
 
 # -- quadric cell comodules ------------------------------------------------------
