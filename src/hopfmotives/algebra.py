@@ -17,6 +17,15 @@ Monomials are exponent tuples aligned with the declared generator order,
 elements are {monomial: coefficient} dicts over F_p with all monomials in
 normal form and no zero coefficients stored.
 
+``_mod_sum`` is the one home of the sparse F_p term sum "accumulate
+{key: c}, reduce mod p, drop zeros" that element arithmetic, the comodule
+checks and ``dual`` share; only the hot kernels (``comod.tensor_comodule``,
+``comod.restrict_comodule``, ``dual.TableAlgebra.multiply`` and
+``_linalg.Echelon.add``) keep loops of their own.  The ``_normal``
+constructors of ``Element`` and ``TensorElement`` sum terms that are
+already normal, such as the products ``mul_mono`` has just normalized,
+without normalizing them again.
+
 A bialgebra adds a coproduct table on generators, extended multiplicatively
 (``extend_multiplicatively``, which also extends coactions and the antipode).
 Coproducts need not be degree-homogeneous (the K-theory presentations use
@@ -31,6 +40,7 @@ vanish.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -104,6 +114,14 @@ def extend_multiplicatively(cache, images, mono):
         cur = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
         value = cache[cur] = value * images[i]
     return value
+
+
+def _mod_sum(p, pairs):
+    """The (key, coeff) pairs summed as {key: sum mod p}, zero sums dropped."""
+    acc = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c % p for key, c in acc.items() if c % p}
 
 
 def _fmt_mono(names, mono):
@@ -267,12 +285,6 @@ class Algebra:
             self._basis_cache = tuple(monos)
         return self._basis_cache
 
-    def basis_by_degree(self):
-        out = {}
-        for m in self.basis():
-            out.setdefault(self.degree_of(m), []).append(m)
-        return out
-
     def dimension(self):
         return len(self.basis())
 
@@ -325,18 +337,19 @@ class Element:
 
     def __init__(self, alg, terms=()):
         p = alg.prime
-        acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for mono, c in items:
-            c %= p
-            if not c:
-                continue
-            k, nf = alg.normalize(mono)
-            if nf is None:
-                continue
-            acc[nf] = (acc.get(nf, 0) + c * k) % p
         self.alg = alg
-        self.terms = {m: c for m, c in acc.items() if c}
+        self.terms = _mod_sum(p, ((nf, c * k) for mono, c in items if c % p
+                                  for k, nf in (alg.normalize(mono),) if nf is not None))
+
+    @classmethod
+    def _normal(cls, alg, pairs):
+        """An element from (normal monomial, coeff) pairs, summed mod p and
+        not normalized again."""
+        self = cls.__new__(cls)
+        self.alg = alg
+        self.terms = _mod_sum(alg.prime, pairs)
+        return self
 
     def _check_mate(self, other):
         if not self.alg.same_presentation(other.alg):
@@ -346,15 +359,13 @@ class Element:
         if isinstance(other, int):
             other = Element(self.alg, {self.alg.unit_mono: other})
         self._check_mate(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Element(self.alg, out)
+        return Element._normal(self.alg, itertools.chain(self.terms.items(),
+                                                         other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.alg, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -363,16 +374,14 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Element(self.alg, {m: c * other for m, c in self.terms.items()})
+            return Element._normal(self.alg, ((m, c * other)
+                                              for m, c in self.terms.items()))
         self._check_mate(other)
-        p = self.alg.prime
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                k, m = self.alg.mul_mono(ma, mb)
-                if m is not None:
-                    out[m] = (out.get(m, 0) + ca * cb * k) % p
-        return Element(self.alg, out)
+        mul = self.alg.mul_mono
+        return Element._normal(self.alg, (
+            (m, ca * cb * k) for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items()
+            for k, m in (mul(ma, mb),) if m is not None))
 
     __rmul__ = __mul__
 
@@ -398,9 +407,6 @@ class Element:
 
     def degrees(self):
         return sorted({self.alg.degree_of(m) for m in self.terms})
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
 
     def degree(self):
         degs = self.degrees()
@@ -435,23 +441,23 @@ class TensorElement:
         if left.prime != right.prime:
             raise ValueError("tensor factors must share the prime")
         p = left.prime
-        acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for (lm, rm), c in items:
-            c %= p
-            if not c:
-                continue
-            kl, ln = left.normalize(lm)
-            if ln is None:
-                continue
-            kr, rn = right.normalize(rm)
-            if rn is None:
-                continue
-            key = (ln, rn)
-            acc[key] = (acc.get(key, 0) + c * kl * kr) % p
         self.left = left
         self.right = right
-        self.terms = {k: c for k, c in acc.items() if c}
+        self.terms = _mod_sum(p, (
+            ((ln, rn), c * kl * kr) for (lm, rm), c in items if c % p
+            for kl, ln in (left.normalize(lm),) if ln is not None
+            for kr, rn in (right.normalize(rm),) if rn is not None))
+
+    @classmethod
+    def _normal(cls, left, right, pairs):
+        """A tensor from ((normal left, normal right), coeff) pairs, summed
+        mod p and not normalized again."""
+        self = cls.__new__(cls)
+        self.left = left
+        self.right = right
+        self.terms = _mod_sum(left.prime, pairs)
+        return self
 
     def _check_mate(self, other):
         if not (self.left.same_presentation(other.left)
@@ -460,36 +466,27 @@ class TensorElement:
 
     def __add__(self, other):
         self._check_mate(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return TensorElement(self.left, self.right, out)
+        return TensorElement._normal(self.left, self.right, itertools.chain(
+            self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        return TensorElement(self.left, self.right,
-                             {k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TensorElement(self.left, self.right,
-                                 {k: c * other for k, c in self.terms.items()})
+            return TensorElement._normal(self.left, self.right, (
+                (k, c * other) for k, c in self.terms.items()))
         self._check_mate(other)
-        p = self.left.prime
-        out = {}
-        for (la, ra), ca in self.terms.items():
-            for (lb, rb), cb in other.terms.items():
-                kl, lm = self.left.mul_mono(la, lb)
-                if lm is None:
-                    continue
-                kr, rm = self.right.mul_mono(ra, rb)
-                if rm is None:
-                    continue
-                key = (lm, rm)
-                out[key] = (out.get(key, 0) + ca * cb * kl * kr) % p
-        return TensorElement(self.left, self.right, out)
+        lmul, rmul = self.left.mul_mono, self.right.mul_mono
+        return TensorElement._normal(self.left, self.right, (
+            ((lm, rm), ca * cb * kl * kr)
+            for (la, ra), ca in self.terms.items()
+            for (lb, rb), cb in other.terms.items()
+            for kl, lm in (lmul(la, lb),) if lm is not None
+            for kr, rm in (rmul(ra, rb),) if rm is not None))
 
     __rmul__ = __mul__
 
@@ -639,14 +636,10 @@ def primitive_bialgebra(prime, gens, rules=()):
 
 def _triple_expand(B, tensor, side):
     """Apply the coproduct to one side of a TensorElement over (B, B)."""
-    p = B.prime
-    out = {}
-    for (lm, rm), c in tensor.terms.items():
-        inner = B.coproduct_mono(lm if side == "left" else rm)
-        for (a, b), d in inner.terms.items():
-            key = (a, b, rm) if side == "left" else (lm, a, b)
-            out[key] = (out.get(key, 0) + c * d) % p
-    return {k: c for k, c in out.items() if c}
+    return _mod_sum(B.prime, (
+        ((a, b, rm) if side == "left" else (lm, a, b), c * d)
+        for (lm, rm), c in tensor.terms.items()
+        for (a, b), d in B.coproduct_mono(lm if side == "left" else rm).terms.items()))
 
 
 def verify_bialgebra(B):
@@ -730,18 +723,10 @@ def borel_normalize(B):
             raise ValueError("rewrite chains contain a cycle")
         expand[i] = (j, power)
 
-    new_trunc = {}
-    for i in survivors:
-        t = B.generators[i].truncation
-        j = i
-        while True:
-            # follow the chain forward: which generator is g_j^{trunc} ?
-            nxt = [jj for jj, src in gen_of.items() if src == j]
-            if not nxt:
-                break
-            j = nxt[0]
-            t *= B.generators[j].truncation
-        new_trunc[i] = t
+    # a root's new truncation is the product of the truncations in its chain
+    new_trunc = dict.fromkeys(survivors, 1)
+    for i, (root, _power) in expand.items():
+        new_trunc[root] *= B.generators[i].truncation
 
     new_gens = tuple(GeneratorDecl(B.generators[i].name, B.generators[i].degree,
                                    new_trunc[i]) for i in survivors)
@@ -762,14 +747,7 @@ def borel_normalize(B):
                           for c, lm, rm in B.coproducts[name]]
     out = Bialgebra(B.prime, new_gens, (), new_cops)
 
-    old_dims, new_dims = {}, {}
-    for m in B.basis():
-        d = B.degree_of(m)
-        old_dims[d] = old_dims.get(d, 0) + 1
-    for m in out.basis():
-        d = out.degree_of(m)
-        new_dims[d] = new_dims.get(d, 0) + 1
-    if old_dims != new_dims:
+    if Counter(map(B.degree_of, B.basis())) != Counter(map(out.degree_of, out.basis())):
         raise ValueError("normalization changed the graded dimension "
                          "(presentation is not of chain shape)")
     return out

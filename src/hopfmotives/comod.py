@@ -45,8 +45,8 @@ from functools import cached_property
 
 from . import _linalg
 from .algebra import (Algebra, SchemaError, TensorElement, VerifyReport,
-                      _check_keys, _fmt_mono, _gens_from_json, _rules_from_json,
-                      bialgebra_from_dict, bialgebra_to_dict,
+                      _check_keys, _fmt_mono, _gens_from_json, _mod_sum,
+                      _rules_from_json, bialgebra_from_dict, bialgebra_to_dict,
                       extend_multiplicatively, gen_mono, mono_from_json,
                       mono_to_json, presentation_to_dict,
                       tensor_terms_from_json)
@@ -116,26 +116,13 @@ class _ComoduleBase:
         p = H.prime
         for b in self.labels:
             vec = self.coaction_vec(b)
-            counit = {}
-            for (hm, lab), c in vec.items():
-                e = H.counit(hm)
-                if e:
-                    counit[lab] = (counit.get(lab, 0) + c * e) % p
-            counit = {l: c for l, c in counit.items() if c}
+            counit = _mod_sum(p, ((lab, c * H.counit(hm)) for (hm, lab), c in vec.items()))
             if counit != {b: 1}:
                 report.fail(f"counit law fails on {self.label_str(b)}")
-            lhs = {}
-            for (hm, lab), c in vec.items():
-                for (h1, h2), d in H.coproduct_mono(hm).terms.items():
-                    key = (h1, h2, lab)
-                    lhs[key] = (lhs.get(key, 0) + c * d) % p
-            rhs = {}
-            for (hm, lab), c in vec.items():
-                for (h2, lab2), d in self.coaction_vec(lab).items():
-                    key = (hm, h2, lab2)
-                    rhs[key] = (rhs.get(key, 0) + c * d) % p
-            lhs = {k: c for k, c in lhs.items() if c}
-            rhs = {k: c for k, c in rhs.items() if c}
+            lhs = _mod_sum(p, (((h1, h2, lab), c * d) for (hm, lab), c in vec.items()
+                               for (h1, h2), d in H.coproduct_mono(hm).terms.items()))
+            rhs = _mod_sum(p, (((hm, h2, lab2), c * d) for (hm, lab), c in vec.items()
+                               for (h2, lab2), d in self.coaction_vec(lab).items()))
             if lhs != rhs:
                 report.fail(f"coassociativity fails on {self.label_str(b)}")
         self._verify_extra(report)
@@ -158,21 +145,17 @@ class BasisComodule(_ComoduleBase):
         for lab in labels:
             if lab not in self._degrees:
                 raise ValueError(f"missing degree for label {label_str(lab)}")
-        self._table = {}
-        p = H.prime
-        for lab in labels:
-            acc = {}
-            for c, hm, lab2 in coaction.get(lab, ()):
-                if lab2 not in self._degrees:
+        known = set(labels)
+        for lab, terms in coaction.items():
+            if lab not in known:
+                raise ValueError(f"coaction given for unknown label {label_str(lab)}")
+            for _c, _hm, lab2 in terms:
+                if lab2 not in known:
                     raise ValueError(f"coaction of {label_str(lab)} hits unknown "
                                      f"label {label_str(lab2)}")
-                k, nf = H.normalize(hm)
-                c = c * k % p
-                if nf is None or not c:
-                    continue
-                key = (nf, lab2)
-                acc[key] = (acc.get(key, 0) + c) % p
-            self._table[lab] = {k: c for k, c in acc.items() if c}
+        self._table = {lab: _mod_sum(H.prime, (
+            ((nf, lab2), c * k) for c, hm, lab2 in coaction.get(lab, ())
+            for k, nf in (H.normalize(hm),) if nf is not None)) for lab in labels}
 
     @classmethod
     def _normal(cls, H, labels, degrees, table):
@@ -230,13 +213,6 @@ class AlgebraComodule(_ComoduleBase):
 
     def coaction_vec(self, label):
         return self.coaction_raw(label).terms
-
-    def coaction(self, x):
-        """rho of an Element of M, as a TensorElement over (H, M)."""
-        out = TensorElement(self.H, self.module, {})
-        for m, c in x.terms.items():
-            out = out + c * self.coaction_raw(m)
-        return out
 
     def _verify_extra(self, report):
         M = self.module
@@ -366,22 +342,12 @@ def is_comodule_morphism(M, N, f):
     if M.H != N.H:
         raise ValueError("morphisms require a common bialgebra")
     p = M.H.prime
-
-    def clean(d):
-        return {k: c % p for k, c in d.items() if c % p}
-
     for b in M.labels:
-        lhs = {}
-        for nl, c in f.get(b, {}).items():
-            for (hm, nl2), d in N.coaction_vec(nl).items():
-                key = (hm, nl2)
-                lhs[key] = (lhs.get(key, 0) + c * d) % p
-        rhs = {}
-        for (hm, ml), c in M.coaction_vec(b).items():
-            for nl, d in f.get(ml, {}).items():
-                key = (hm, nl)
-                rhs[key] = (rhs.get(key, 0) + c * d) % p
-        if clean(lhs) != clean(rhs):
+        lhs = _mod_sum(p, ((key, c * d) for nl, c in f.get(b, {}).items()
+                           for key, d in N.coaction_vec(nl).items()))
+        rhs = _mod_sum(p, (((hm, nl), c * d) for (hm, ml), c in M.coaction_vec(b).items()
+                           for nl, d in f.get(ml, {}).items()))
+        if lhs != rhs:
             return False, b
     return True, None
 

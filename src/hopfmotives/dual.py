@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _linalg
+from .algebra import _mod_sum
 
 
 # -- the algebra kernel ---------------------------------------------------------
@@ -88,11 +89,7 @@ class TableAlgebra:
 
 def _sum(p, *terms):
     """The linear combination sum c v of the (c, v) pairs, reduced mod p."""
-    out = {}
-    for c, v in terms:
-        for k, x in v.items():
-            out[k] = out.get(k, 0) + c * x
-    return {k: x % p for k, x in out.items() if x % p}
+    return _mod_sum(p, ((k, c * x) for c, v in terms for k, x in v.items()))
 
 
 def _relations(vectors, p):

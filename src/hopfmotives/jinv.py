@@ -74,10 +74,7 @@ class PoincarePoly:
         return PoincarePoly([x + y for x, y in zip(a, b)])
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return PoincarePoly([x - y for x, y in zip(a, b)])
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int):

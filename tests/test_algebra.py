@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfmotives import _linalg, catalog
@@ -119,8 +120,165 @@ def test_element_degrees():
     B = catalog.get("e8.mod3")
     e4, e10 = B.gen("e_4"), B.gen("e_10")
     assert (e4 * e10).degree() == 14
-    assert not (e4 + e10).is_homogeneous()
+    assert len((e4 + e10).degrees()) == 2
     assert list((e4 ** 2 + e4 * B.one() * e4).degrees()) == [8]
+
+
+# The loop-based arithmetic that element arithmetic replaced: normalize every
+# term, accumulate mod p one term at a time, drop zeros.
+
+def oracle_terms(alg, pairs):
+    p = alg.prime
+    acc = {}
+    for mono, c in pairs:
+        c %= p
+        if not c:
+            continue
+        k, nf = alg.normalize(mono)
+        if nf is None:
+            continue
+        acc[nf] = (acc.get(nf, 0) + c * k) % p
+    return {m: c for m, c in acc.items() if c}
+
+
+def oracle_tensor_terms(left, right, pairs):
+    p = left.prime
+    acc = {}
+    for (lm, rm), c in pairs:
+        c %= p
+        if not c:
+            continue
+        kl, ln = left.normalize(lm)
+        if ln is None:
+            continue
+        kr, rn = right.normalize(rm)
+        if rn is None:
+            continue
+        acc[ln, rn] = (acc.get((ln, rn), 0) + c * kl * kr) % p
+    return {k: c for k, c in acc.items() if c}
+
+
+def oracle_scaled(x, n):
+    return [(k, c * n) for k, c in x.terms.items()]
+
+
+def oracle_product(x, y):
+    p = x.alg.prime
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            k, m = x.alg.mul_mono(ma, mb)
+            if m is not None:
+                out[m] = (out.get(m, 0) + ca * cb * k) % p
+    return out.items()
+
+
+def oracle_tensor_product(x, y):
+    p = x.left.prime
+    out = {}
+    for (la, ra), ca in x.terms.items():
+        for (lb, rb), cb in y.terms.items():
+            kl, lm = x.left.mul_mono(la, lb)
+            if lm is None:
+                continue
+            kr, rm = x.right.mul_mono(ra, rb)
+            if rm is None:
+                continue
+            out[lm, rm] = (out.get((lm, rm), 0) + ca * cb * kl * kr) % p
+    return out.items()
+
+
+@st.composite
+def small_algebras(draw):
+    """F_p[g_0, ..] truncated at p = 2, 3, 5; F_p[x, z]/(x^2 - c z, x^4, z^2),
+    where x * x has coefficient c (3 at p = 5, say); or k0.sc.mod2, which has
+    no generators, so its one monomial is the falsy ()."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["truncated", "square rule", "k0.sc.mod2"]))
+    if kind == "k0.sc.mod2":
+        return catalog.get("k0.sc.mod2")
+    if kind == "square rule":
+        return Algebra(p, (GeneratorDecl("x", 1, 4), GeneratorDecl("z", 2, 2)),
+                       (RewriteRule((2, 0), (0, 1), draw(st.integers(1, p - 1))),))
+    shape = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(2, 4)),
+                          min_size=1, max_size=3))
+    return Algebra(p, tuple(GeneratorDecl(f"g{i}", d, t)
+                            for i, (d, t) in enumerate(shape)))
+
+
+def raw_monomials(alg):
+    """Exponent tuples up to each truncation, so not all of them normal."""
+    return st.tuples(*(st.integers(0, g.truncation) for g in alg.generators))
+
+
+@st.composite
+def element_triples(draw):
+    A = draw(small_algebras())
+    term = st.tuples(raw_monomials(A), st.integers(-A.prime, A.prime))
+    return A, [draw(st.lists(term, max_size=5)) for _ in range(3)], \
+        draw(st.integers(-6, 6))
+
+
+@st.composite
+def tensor_triples(draw):
+    L, R = draw(small_algebras()), draw(small_algebras())
+    assume(L.prime == R.prime)
+    term = st.tuples(st.tuples(raw_monomials(L), raw_monomials(R)),
+                     st.integers(-L.prime, L.prime))
+    return L, R, [draw(st.lists(term, max_size=4)) for _ in range(3)], \
+        draw(st.integers(-6, 6))
+
+
+RULE_P5 = Algebra(5, (GeneratorDecl("x", 1, 4), GeneratorDecl("z", 2, 2)),
+                  (RewriteRule((2, 0), (0, 1), 3),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_triples())
+@example((RULE_P5, [[((1, 0), 1)], [((1, 0), 2), ((0, 1), 4)], [((3, 1), 1)]], -2))
+def test_element_arithmetic_matches_loop_oracle(case):
+    A, raw, n = case
+    x, y, z = (Element(A, t) for t in raw)
+    for t, e in zip(raw, (x, y, z)):
+        assert e.terms == oracle_terms(A, t)
+    assert (x + y).terms == oracle_terms(A, list(x.terms.items()) + list(y.terms.items()))
+    assert (x - y).terms == oracle_terms(A, list(x.terms.items()) + oracle_scaled(y, -1))
+    assert (x + n).terms == oracle_terms(A, list(x.terms.items()) + [(A.unit_mono, n)])
+    assert (-x).terms == oracle_terms(A, oracle_scaled(x, -1))
+    assert (x * n).terms == (n * x).terms == oracle_terms(A, oracle_scaled(x, n))
+    assert (x * y).terms == oracle_terms(A, oracle_product(x, y))
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_triples())
+@example((RULE_P5, RULE_P5, [[(((1, 0), (1, 0)), 1)], [(((1, 0), (1, 0)), 1)], []], 3))
+def test_tensor_arithmetic_matches_loop_oracle(case):
+    L, R, raw, n = case
+    x, y, z = (TensorElement(L, R, t) for t in raw)
+    for t, e in zip(raw, (x, y, z)):
+        assert e.terms == oracle_tensor_terms(L, R, t)
+    assert (x + y).terms == oracle_tensor_terms(
+        L, R, list(x.terms.items()) + list(y.terms.items()))
+    assert (x - y).terms == oracle_tensor_terms(
+        L, R, list(x.terms.items()) + oracle_scaled(y, -1))
+    assert (-x).terms == oracle_tensor_terms(L, R, oracle_scaled(x, -1))
+    assert (x * n).terms == (n * x).terms == oracle_tensor_terms(L, R, oracle_scaled(x, n))
+    assert (x * y).terms == oracle_tensor_terms(L, R, oracle_tensor_product(x, y))
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+
+
+def test_falsy_unit_monomial_survives_arithmetic():
+    """k0.sc.mod2 has no generators, so its unit monomial () is falsy."""
+    B = catalog.get("k0.sc.mod2")
+    one = B.one()
+    assert (one * one).terms == (-one).terms == {(): 1}
+    assert (one + one).terms == {}
+    t = TensorElement(B, B, {((), ()): 1})
+    assert (t * t).terms == {((), ()): 1}
+    assert (t + t).terms == {}
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +544,17 @@ def test_borel_normalize_so13():
     assert [g.truncation for g in N.generators] == [8, 4, 2]
     assert N.rules == ()
     assert N.dimension() == B.dimension()
-    for d in range(B.top_degree() + 1):
-        assert len(N.basis_by_degree().get(d, ())) == \
-            len(B.basis_by_degree().get(d, ())), d
+    assert Counter(map(N.degree_of, N.basis())) == \
+        Counter(map(B.degree_of, B.basis()))
     assert verify_bialgebra(N)
+
+
+@pytest.mark.parametrize("n,truncations", [
+    (5, [4]), (7, [4, 2]), (9, [8, 2]), (11, [8, 2, 2]), (13, [8, 4, 2])])
+def test_borel_normalize_truncations(n, truncations):
+    """Each surviving root keeps the product of the truncations of its chain."""
+    N = borel_normalize(catalog.get(f"so{n}.mod2"))
+    assert [g.truncation for g in N.generators] == truncations
 
 
 def test_borel_normalize_is_identity_on_borel_forms():
