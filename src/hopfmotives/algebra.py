@@ -18,13 +18,15 @@ elements are {monomial: coefficient} dicts over F_p with all monomials in
 normal form and no zero coefficients stored.
 
 ``_mod_sum`` is the one home of the sparse F_p term sum "accumulate
-{key: c}, reduce mod p, drop zeros" that element arithmetic, the comodule
+{key: c}, reduce mod p, drop zeros" that element arithmetic, the law
 checks and ``dual`` share; only the hot kernels (``comod.tensor_comodule``,
 ``comod.restrict_comodule``, ``dual.TableAlgebra.multiply`` and
-``_linalg.Echelon.add``) keep loops of their own.  The ``_normal``
-constructors of ``Element`` and ``TensorElement`` sum terms that are
-already normal, such as the products ``mul_mono`` has just normalized,
-without normalizing them again.
+``_linalg.Echelon.add``) keep loops of their own.  ``_coassociative`` and
+``_check_rules`` are the one coassociativity test and the one rewrite-rule
+loop, for the coproduct (``verify_bialgebra``) and for coactions (``comod``).
+The ``_normal`` constructors of ``Element`` and ``TensorElement`` sum terms
+that are already normal, such as the products ``mul_mono`` has just
+normalized, without normalizing them again.
 
 A bialgebra adds a coproduct table on generators, extended multiplicatively
 (``extend_multiplicatively``, which also extends coactions and the antipode).
@@ -634,12 +636,29 @@ def primitive_bialgebra(prime, gens, rules=()):
                       for i, g in enumerate(gens)})
 
 
-def _triple_expand(B, tensor, side):
-    """Apply the coproduct to one side of a TensorElement over (B, B)."""
-    return _mod_sum(B.prime, (
-        ((a, b, rm) if side == "left" else (lm, a, b), c * d)
-        for (lm, rm), c in tensor.terms.items()
-        for (a, b), d in B.coproduct_mono(lm if side == "left" else rm).terms.items()))
+def _coassociative(H, vec, rho):
+    """Whether (Delta (x) id) v = (id (x) rho) v, for v = ``vec`` and each
+    ``rho(label)`` {(H-monomial, label): coeff} dicts (rho = Delta for H)."""
+    p = H.prime
+    return _mod_sum(p, (((h1, h2, lab), c * d) for (hm, lab), c in vec.items()
+                        for (h1, h2), d in H.coproduct_mono(hm).terms.items())) \
+        == _mod_sum(p, (((hm, h2, lab2), c * d) for (hm, lab), c in vec.items()
+                        for (h2, lab2), d in rho(lab).items()))
+
+
+def _check_rules(report, M, rho, what):
+    """Fail ``report`` on each rewrite rule of M that ``rho``, an algebra map
+    on exponent tuples of M into a TensorElement, does not respect."""
+    names = [g.name for g in M.generators]
+    for rule in M._compiled:
+        diff = rho(rule.source)
+        if rule.target is not None:
+            diff = diff - rule.coeff * rho(rule.target)
+        if diff:
+            report.fail(
+                f"{what} does not respect {_fmt_mono(names, rule.source)} -> "
+                f"{'0' if rule.target is None else _fmt_mono(names, rule.target)}"
+                f" (difference {diff})")
 
 
 def verify_bialgebra(B):
@@ -649,33 +668,19 @@ def verify_bialgebra(B):
     for g in B.generators:
         gx = B.gen(g.name)
         cop = B.coproduct(gx)
-        left = sum((c * B.monomial(rm) for (lm, rm), c in cop.terms.items()
-                    if lm == unit), B.zero())
-        right = sum((c * B.monomial(lm) for (lm, rm), c in cop.terms.items()
-                     if rm == unit), B.zero())
-        if left != gx:
-            report.fail(f"counit law fails on {g.name}: (eps⊗id)Δ = {left}")
-        if right != gx:
-            report.fail(f"counit law fails on {g.name}: (id⊗eps)Δ = {right}")
+        for side, law in ((1, "eps⊗id"), (0, "id⊗eps")):
+            got = sum((c * B.monomial(t[side]) for t, c in cop.terms.items()
+                       if t[1 - side] == unit), B.zero())
+            if got != gx:
+                report.fail(f"counit law fails on {g.name}: ({law})Δ = {got}")
         reduced = cop - TensorElement(B, B, {(m, unit): c for m, c in gx.terms.items()}) \
                       - TensorElement(B, B, {(unit, m): c for m, c in gx.terms.items()})
-        for lm, rm in reduced.terms:
-            if lm == unit or rm == unit:
-                report.fail(f"connectedness fails on {g.name}: "
-                            f"reduced coproduct has a unit factor")
-                break
-        if _triple_expand(B, cop, "left") != _triple_expand(B, cop, "right"):
+        if any(unit in t for t in reduced.terms):
+            report.fail(f"connectedness fails on {g.name}: "
+                        f"reduced coproduct has a unit factor")
+        if not _coassociative(B, cop.terms, lambda m: B.coproduct_mono(m).terms):
             report.fail(f"coassociativity fails on {g.name}")
-    for rule in B._compiled:
-        src = B.coproduct_mono(rule.source)
-        tgt = TensorElement(B, B, {}) if rule.target is None \
-            else rule.coeff * B.coproduct_mono(rule.target)
-        if src != tgt:
-            names = [g.name for g in B.generators]
-            report.fail(
-                f"coproduct does not respect {_fmt_mono(names, rule.source)} -> "
-                f"{'0' if rule.target is None else _fmt_mono(names, rule.target)}"
-                f" (difference {src - tgt})")
+    _check_rules(report, B, B.coproduct_mono, "coproduct")
     return report
 
 

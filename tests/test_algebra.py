@@ -21,6 +21,7 @@ from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  bialgebra_from_dict, bialgebra_to_dict,
                                  borel_normalize, primitive_bialgebra,
                                  verify_bialgebra)
+from hopfmotives.comod import AlgebraComodule
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +416,16 @@ def test_long_power_verifies_without_recursion():
                       if k & 1200 == k)
     assert verify_bialgebra(B).failures == [
         f"coproduct does not respect x^1200 -> 0 (difference {diff})"]
+
+
+def test_coaction_rule_failure_carries_its_difference():
+    """rho(x) = 1 (x) x + t (x) 1 squares to t^2 (x) 1, which x^2 -> 0 does
+    not allow; the comodule reports it as the bialgebra check does."""
+    H = primitive_bialgebra(2, (GeneratorDecl("t", 1, 4),))
+    A = Algebra(2, (GeneratorDecl("x", 1, 2),))
+    M = AlgebraComodule(H, A, {"x": [(1, (0,), (1,)), (1, (1,), (0,))]})
+    assert M.verify().failures == [
+        "coaction does not respect x^2 -> 0 (difference t^2⊗1)"]
 
 
 def test_primitive_bialgebra():

@@ -14,7 +14,8 @@ from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
                                tensor_comodule, verify_comodule)
 from hopfmotives.algebra import (Algebra, Bialgebra, GeneratorDecl,
                                  RewriteRule, SchemaError, TensorElement,
-                                 bialgebra_to_dict, gen_mono, primitive_bialgebra)
+                                 VerifyReport, bialgebra_to_dict, gen_mono,
+                                 primitive_bialgebra)
 from hopfmotives.jinv import (jset_to_tuple, quotient_with_map, so_borel,
                               valid_jtuples)
 from hopfmotives.motdec import line_classes, partition_blocks
@@ -64,6 +65,125 @@ def test_repeated_coaction_terms_are_summed():
     assert M.coaction_vec((1,)) == {((0,), (1,)): 2}
     report = verify_comodule(M)
     assert not report and "counit law fails on y" in report.failures
+
+
+# -- verification on generators against the all-label oracle ----------------------
+
+def all_label_verdict(M):
+    """Whether an AlgebraComodule passes the check on every basis label:
+    counit and coassociativity on each label, then every rewrite rule of M.
+    Written out with no appeal to multiplicativity."""
+    H, A, p = M.H, M.module, M.H.prime
+
+    def summed(pairs):
+        acc = {}
+        for key, c in pairs:
+            acc[key] = (acc.get(key, 0) + c) % p
+        return {key: c for key, c in acc.items() if c}
+    for b in M.labels:
+        vec = M.coaction_vec(b)
+        if summed((lab, c * H.counit(hm)) for (hm, lab), c in vec.items()) != {b: 1}:
+            return False
+        lhs = summed(((h1, h2, lab), c * d) for (hm, lab), c in vec.items()
+                     for (h1, h2), d in H.coproduct_mono(hm).terms.items())
+        rhs = summed(((hm, h2, lab2), c * d) for (hm, lab), c in vec.items()
+                     for (h2, lab2), d in M.coaction_vec(lab).items())
+        if lhs != rhs:
+            return False
+    for rule in A._compiled:
+        tgt = TensorElement(H, A, {}) if rule.target is None \
+            else rule.coeff * M.coaction_raw(rule.target)
+        if M.coaction_raw(rule.source) != tgt:
+            return False
+    return True
+
+
+def coaction_mutants(M):
+    """Each single-term deletion, and (p > 2) each coefficient doubling, of
+    the generator coactions of M."""
+    table = {g.name: sorted((c, hm, mm) for (hm, mm), c in M._gen_table[g.name].terms.items())
+             for g in M.module.generators}
+    for name, terms in table.items():
+        for i, (c, hm, mm) in enumerate(terms):
+            edits = [terms[:i] + terms[i + 1:]]
+            if M.H.prime > 2:
+                edits.append(terms[:i] + [(2 * c, hm, mm)] + terms[i + 1:])
+            for edit in edits:
+                yield AlgebraComodule(M.H, M.module, {**table, name: edit})
+
+
+@pytest.mark.parametrize("key, count", [("e7p7.mod2", 7), ("e8p8.mod3", 14)])
+def test_generator_verdict_matches_oracle_on_catalog_mutants(key, count):
+    M = catalog.get(key)
+    assert M.verify() and all_label_verdict(M)
+    mutants = list(coaction_mutants(M))
+    assert len(mutants) == count
+    verdicts = [M2.verify().ok for M2 in mutants]
+    assert verdicts == [all_label_verdict(M2) for M2 in mutants]
+    assert not all(verdicts)
+
+
+@st.composite
+def small_algebra_comodules(draw):
+    """F_p[x]/(x^m) over F_p[t]/(t^n), t primitive, with rho(x) = 1 (x) x
+    plus up to two random terms.  n is a power of p, so that t^n -> 0 is a
+    coideal and H a bialgebra: the generator argument needs Delta to be an
+    algebra map."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([q for q in (p, p * p) if q <= 9]))
+    m = draw(st.integers(2, 5))
+    H = primitive_bialgebra(p, (GeneratorDecl("t", 1, n),))
+    A = Algebra(p, (GeneratorDecl("x", draw(st.integers(1, 3)), m),))
+    term = st.tuples(st.integers(1, p - 1), st.integers(0, n - 1).map(lambda e: (e,)),
+                     st.integers(0, m - 1).map(lambda e: (e,)))
+    return AlgebraComodule(H, A, {"x": [(1, (0,), (1,))] + draw(st.lists(term, max_size=2))})
+
+
+def test_generator_verdict_matches_oracle_on_random_comodules():
+    verdicts = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_algebra_comodules())
+    def check(M):
+        ok = M.verify().ok
+        assert ok == all_label_verdict(M)
+        verdicts.add(ok)
+    check()
+    assert verdicts == {True, False}
+
+
+def test_generator_that_is_a_rule_source_verifies():
+    """y -> x^2 makes the generator y no label: its counit is x^2, not y."""
+    H = primitive_bialgebra(2, (GeneratorDecl("t", 1, 4),))
+    A = Algebra(2, (GeneratorDecl("y", 2, 2), GeneratorDecl("x", 1, 4)),
+                (RewriteRule((1, 0), (0, 2)),))
+    M = AlgebraComodule(H, A, {"x": [(1, (0,), (0, 1)), (1, (1,), (0, 0))],
+                               "y": [(1, (0,), (0, 2)), (1, (2,), (0, 0))]})
+    assert M.labels == ((0, 0), (0, 1), (0, 2), (0, 3))
+    assert M.verify() and all_label_verdict(M)
+    report = VerifyReport()
+    M._check_laws(report, (1, 0), {(1, 0): 1})
+    assert report.failures == ["counit law fails on y"]
+
+
+def test_coaction_over_a_coproduct_that_breaks_a_rule_fails():
+    """Over F_2[t]/(t^3), t primitive, Delta(t)^3 = t (x) t^2 + t^2 (x) t is
+    not 0, so H is no bialgebra and the laws on generators do not carry over:
+    rho(x) = 1 (x) x + t (x) 1 passes them on x, not on x^3."""
+    H = primitive_bialgebra(2, (GeneratorDecl("t", 1, 3),))
+    A = Algebra(2, (GeneratorDecl("x", 1, 4),))
+    M = AlgebraComodule(H, A, {"x": [(1, (0,), (1,)), (1, (1,), (0,))]})
+    assert not all_label_verdict(M)
+    assert M.verify().failures == [
+        "coproduct does not respect t^3 -> 0 (difference t⊗t^2 + t^2⊗t)"]
+
+
+@pytest.mark.parametrize("key", ["e7p7.mod2", "e8p8.mod3"])
+def test_verify_builds_no_full_coaction_table(key, monkeypatch):
+    monkeypatch.setattr(catalog, "_cache", {})
+    M = catalog.get(key, verify=False)
+    assert M.verify()
+    assert len(M._raw_cache) < len(M.labels)
 
 
 # -- coinvariants -----------------------------------------------------------------
