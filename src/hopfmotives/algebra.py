@@ -42,13 +42,9 @@ vanish.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
-
-#: exponent tuple aligned with the declared generators of an algebra
-Monomial = tuple
 
 _BASIS_BOUND = 2_000_000
 
@@ -61,24 +57,18 @@ class SchemaError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
-    name: str
-    degree: int
-    truncation: int  # exponent N with g^N rewritten (>= 2)
+# truncation: the exponent N with g^N rewritten (>= 2)
+GeneratorDecl = namedtuple("GeneratorDecl", "name degree truncation")
+
+# target: an exponent tuple, or None to encode zero;
+# coeff: the coefficient of the target, ignored when the target is None
+RewriteRule = namedtuple("RewriteRule", "source target coeff", defaults=(1,))
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    source: Monomial
-    target: Monomial | None  # None encodes a zero target
-    coeff: int = 1           # coefficient of the target, ignored when None
-
-
-@dataclass
 class VerifyReport:
-    ok: bool = True
-    failures: list = field(default_factory=list)
+    def __init__(self):
+        self.ok = True
+        self.failures = []
 
     def fail(self, message):
         self.ok = False
@@ -541,8 +531,7 @@ class Bialgebra(Algebra):
                                            for c, lm, rm in coproducts[g.name]])
             table = tuple(sorted((c, lm, rm) for (lm, rm), c in t.terms.items()))
             self.coproducts[g.name] = table
-            self._cop_images.append(
-                TensorElement(self, self, {(lm, rm): c for c, lm, rm in table}))
+            self._cop_images.append(t)
         unit = self.unit_mono
         self._cop_cache = {unit: TensorElement(self, self, {(unit, unit): 1})}
         self._antipode_images = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (Algebra, Bialgebra, GeneratorDecl, RewriteRule,
                       SchemaError, bialgebra_from_dict, gen_mono,
@@ -168,11 +168,8 @@ def _k2_e8_mod3(alpha):
                               (alpha, (1,), (2,)), (alpha, (2,), (1,))]})
 
 
-@dataclass(frozen=True)
-class Entry:
-    kind: str         # "bialgebra" | "comodule"
-    description: str
-    builder: object
+# kind: "bialgebra" | "comodule"
+Entry = namedtuple("Entry", "kind description builder")
 
 
 _ENTRIES = {}
@@ -330,12 +327,9 @@ def vishik_edges(dim):
                          f"available: {sorted(_VISHIK_EDGES)}") from None
 
 
-@dataclass(frozen=True)
-class JTupleInstance:
-    key: str        # catalog key of the ambient bialgebra
-    series: str     # Weyl type of the split group
-    rank: int
-    jtuple: tuple
+# key: the catalog key of the ambient bialgebra;
+# series: the Weyl type of the split group
+JTupleInstance = namedtuple("JTupleInstance", "key series rank jtuple")
 
 
 def jtuple_instances():

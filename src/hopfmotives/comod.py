@@ -13,8 +13,9 @@ Two flavors share one interface (``labels``, ``degree_of``, ``coaction_vec``,
 Coactions are not required to preserve degree (the K-theory comodules do
 not), only the counit and coassociativity laws, which ``BasisComodule``
 checks on every label.  ``AlgebraComodule.verify`` checks them on the
-generators, and Delta and rho on every rewrite rule of H and of M: then
-both sides of each law are algebra maps, which generators determine.
+generators, and rho on every rewrite rule of M.  Both flavors first report
+H's own verification, which checks Delta on every rule of H; then both sides
+of each law are algebra maps, which generators determine.
 
 Each coaction table is built once.  A comodule sorts its labels once, into
 ``position`` ((degree, label) order), and indexes them by degree once, into
@@ -46,8 +47,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _linalg
-from .algebra import (Algebra, SchemaError, TensorElement, VerifyReport,
-                      _check_keys, _check_rules, _coassociative, _gens_from_json,
+from .algebra import (Algebra, SchemaError, TensorElement, _check_keys,
+                      _check_rules, _coassociative, _gens_from_json,
                       _mod_sum, _rules_from_json, bialgebra_from_dict,
                       bialgebra_to_dict, extend_multiplicatively, gen_mono,
                       mono_from_json, mono_to_json, presentation_to_dict,
@@ -113,7 +114,7 @@ class _ComoduleBase:
         return label_str(label)
 
     def verify(self):
-        report = VerifyReport()
+        report = self.H.verify()
         for b in self.labels:
             self._check_laws(report, b, {b: 1})
         return report
@@ -212,12 +213,12 @@ class AlgebraComodule(_ComoduleBase):
         return self.coaction_raw(label).terms
 
     def verify(self):
-        """The laws on generators (counit: the normal form), then the rules."""
-        report = VerifyReport()
-        H, M = self.H, self.module
+        """The bialgebra's own verification, then the laws on generators
+        (counit: the normal form), then the rules of M."""
+        report = self.H.verify()
+        M = self.module
         for i, g in enumerate(M.generators):
             self._check_laws(report, gen_mono(M.ngens, i), M.gen(g.name).terms)
-        _check_rules(report, H, H.coproduct_mono, "coproduct")
         _check_rules(report, M, self.coaction_raw, "coaction")
         return report
 

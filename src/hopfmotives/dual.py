@@ -32,8 +32,6 @@ and it and every element are sparse {k: c} dicts, the row format of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _linalg
 from .algebra import _mod_sum
 
@@ -176,11 +174,11 @@ def dual_presentation(B):
                      "dual-basis functional")
 
 
-@dataclass
 class Block:
-    dim: int
-    label: str
-    idempotent: tuple  # dense coordinates, read by the block sort key
+    def __init__(self, dim, label, idempotent):
+        self.dim = dim
+        self.label = label
+        self.idempotent = idempotent  # dense coordinates, read by the block sort key
 
 
 def _block_dim(A, e):

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from hopfmotives import _linalg, catalog
 from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  RewriteRule, SchemaError, TensorElement,
-                                 bialgebra_from_dict, bialgebra_to_dict,
-                                 borel_normalize, primitive_bialgebra,
-                                 verify_bialgebra)
+                                 VerifyReport, bialgebra_from_dict,
+                                 bialgebra_to_dict, borel_normalize,
+                                 primitive_bialgebra, verify_bialgebra)
 from hopfmotives.comod import AlgebraComodule
 
 
@@ -631,3 +631,30 @@ def test_schema_reports_paths():
         assert err.path.startswith("$")
     else:  # pragma: no cover
         pytest.fail("expected a schema error")
+
+
+# ---------------------------------------------------------------------------
+# the presentation records
+# ---------------------------------------------------------------------------
+
+def test_presentation_records_compare_and_hash_by_value():
+    assert GeneratorDecl("x", 1, 3) == GeneratorDecl("x", 1, 3)
+    assert GeneratorDecl("x", 1, 3) != GeneratorDecl("x", 1, 4)
+    assert len({GeneratorDecl("x", 1, 3), GeneratorDecl("x", 1, 3)}) == 1
+    assert RewriteRule((2,), (0,), 2) == RewriteRule((2,), (0,), 2)
+    assert len({RewriteRule((2,), None), RewriteRule((2,), None)}) == 1
+    assert RewriteRule((2,), None).coeff == 1
+
+
+def test_empty_generator_name_is_refused_with_its_declaration():
+    with pytest.raises(ValueError) as err:
+        Algebra(2, (GeneratorDecl("", 1, 2),))
+    assert str(err.value) == ("generator name must be a nonempty string: "
+                              "GeneratorDecl(name='', degree=1, truncation=2)")
+
+
+def test_verify_report_passes_until_a_failure():
+    report = VerifyReport()
+    assert report and str(report) == "pass"
+    report.fail("x")
+    assert not report and str(report) == "fail:\n  x"

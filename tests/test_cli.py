@@ -12,7 +12,9 @@ import pathlib
 import pytest
 
 from hopfmotives import catalog
+from hopfmotives.algebra import GeneratorDecl, primitive_bialgebra
 from hopfmotives.cli import main
+from hopfmotives.comod import BasisComodule, comodule_to_dict
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -83,6 +85,21 @@ def test_verify_reports_failures(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1
     assert out.startswith("fail")
+
+
+def test_verify_checks_the_comodules_own_bialgebra(tmp_path, capsys):
+    """Over F_2[t]/(t^3), t primitive, Delta(t^3) = t (x) t^2 + t^2 (x) t is
+    not 0: the comodule laws hold, but H is no bialgebra."""
+    H = primitive_bialgebra(2, (GeneratorDecl("t", 1, 3),))
+    M = BasisComodule(H, ["a", "b"], {"a": 0, "b": 1},
+                      {"a": [(1, (0,), "a")],
+                       "b": [(1, (0,), "b"), (1, (1,), "a")]})
+    path = tmp_path / "comodule.json"
+    path.write_text(json.dumps(comodule_to_dict(M)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    assert out == ("fail:\n  coproduct does not respect t^3 -> 0 "
+                   "(difference t⊗t^2 + t^2⊗t)\n")
 
 
 def test_verify_json_format(capsys):

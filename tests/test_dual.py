@@ -115,6 +115,14 @@ def test_rost_blocks():
         [(1, "tate"), (1, "g:1 + x")]
 
 
+def test_blocks_are_records_not_tuples():
+    # perfbench/checks.py renders any tuple as a list before it looks for an
+    # idempotent, so a tuple Block would change the canonical dual output
+    (block,) = decompose(catalog.get("k0.sc.mod2"))
+    assert not isinstance(block, tuple)
+    assert (block.dim, block.label, block.idempotent) == (1, "tate", (1,))
+
+
 def test_trivial_bialgebra_has_only_the_tate_block():
     blocks = decompose(catalog.get("k0.sc.mod2"))
     assert [(b.dim, b.label) for b in blocks] == [(1, "tate")]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hopfmotives"
@@ -23,3 +24,14 @@ def test_src_imports_only_the_standard_library():
     outside = {(f.name, name) for f in files for name in absolute_imports(f)
                if name not in sys.stdlib_module_names}
     assert not outside
+
+
+def test_cold_cli_import_loads_no_slow_stdlib_modules():
+    # a fresh interpreter: pytest itself imports inspect; -S keeps site
+    # .pth files from importing anything
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "import hopfmotives.cli; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
