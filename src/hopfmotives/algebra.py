@@ -28,6 +28,11 @@ The ``_normal`` constructors of ``Element`` and ``TensorElement`` sum terms
 that are already normal, such as the products ``mul_mono`` has just
 normalized, without normalizing them again.
 
+``_terms_str`` is the one home of the display format "c*term + ..." that
+elements, tensors, coactions, coinvariant vectors and Poincare polynomials
+share, each in its own sort order; ``Algebra.rule_str`` is the one rendering
+of a rewrite rule, for ``catalog show`` and for rule-check failures alike.
+
 A bialgebra adds a coproduct table on generators, extended multiplicatively
 (``extend_multiplicatively``, which also extends coactions and the antipode).
 Coproducts need not be degree-homogeneous (the K-theory presentations use
@@ -124,6 +129,14 @@ def _fmt_mono(names, mono):
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
+
+
+def _terms_str(terms):
+    """(text, coeff) pairs, already in display order, as "c*text + ...":
+    a coefficient 1 is left out, an empty text is the scalar term shown as
+    its bare coefficient, and no terms at all is "0"."""
+    return " + ".join(str(c) if not text else text if c == 1 else f"{c}*{text}"
+                      for text, c in terms) or "0"
 
 
 class Algebra:
@@ -303,6 +316,11 @@ class Algebra:
     def monomial_str(self, mono):
         return _fmt_mono([g.name for g in self.generators], mono)
 
+    def rule_str(self, rule):
+        target = () if rule.target is None else \
+            ((self.monomial_str(rule.target), rule.coeff),)
+        return f"{self.monomial_str(rule.source)} -> {_terms_str(target)}"
+
     # -- comparisons -------------------------------------------------------
 
     def same_presentation(self, other):
@@ -407,19 +425,10 @@ class Element:
         return degs[0]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=lambda m: (self.alg.degree_of(m), m)):
-            c = self.terms[m]
-            ms = self.alg.monomial_str(m)
-            if ms == "1":
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(ms)
-            else:
-                bits.append(f"{c}*{ms}")
-        return " + ".join(bits)
+        alg = self.alg
+        order = sorted(self.terms, key=lambda m: (alg.degree_of(m), m))
+        terms = ((alg.monomial_str(m), self.terms[m]) for m in order)
+        return _terms_str(("" if s == "1" else s, c) for s, c in terms)
 
     __repr__ = __str__
 
@@ -492,17 +501,10 @@ class TensorElement:
         return bool(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        def key(t):
-            (lm, rm) = t
-            return (self.left.degree_of(lm), lm, rm)
-        bits = []
-        for lm, rm in sorted(self.terms, key=key):
-            c = self.terms[(lm, rm)]
-            s = f"{self.left.monomial_str(lm)}⊗{self.right.monomial_str(rm)}"
-            bits.append(s if c == 1 else f"{c}*{s}")
-        return " + ".join(bits)
+        L, R = self.left, self.right
+        order = sorted(self.terms, key=lambda t: (L.degree_of(t[0]), t))
+        return _terms_str((f"{L.monomial_str(lm)}⊗{R.monomial_str(rm)}", self.terms[lm, rm])
+                          for lm, rm in order)
 
     __repr__ = __str__
 
@@ -638,16 +640,13 @@ def _coassociative(H, vec, rho):
 def _check_rules(report, M, rho, what):
     """Fail ``report`` on each rewrite rule of M that ``rho``, an algebra map
     on exponent tuples of M into a TensorElement, does not respect."""
-    names = [g.name for g in M.generators]
     for rule in M._compiled:
         diff = rho(rule.source)
         if rule.target is not None:
             diff = diff - rule.coeff * rho(rule.target)
         if diff:
-            report.fail(
-                f"{what} does not respect {_fmt_mono(names, rule.source)} -> "
-                f"{'0' if rule.target is None else _fmt_mono(names, rule.target)}"
-                f" (difference {diff})")
+            report.fail(f"{what} does not respect {M.rule_str(rule)} "
+                        f"(difference {diff})")
 
 
 def verify_bialgebra(B):

@@ -162,12 +162,6 @@ def _k2_typeone(p, alpha):
     return Bialgebra(p, (GeneratorDecl(name, p + 1, p),), (), {name: terms})
 
 
-def _k2_e8_mod3(alpha):
-    return Bialgebra(3, (GeneratorDecl("x_4", 4, 3),), (),
-                     {"x_4": [(1, (1,), (0,)), (1, (0,), (1,)),
-                              (alpha, (1,), (2,)), (alpha, (2,), (1,))]})
-
-
 # kind: "bialgebra" | "comodule"
 Entry = namedtuple("Entry", "kind description builder")
 
@@ -220,7 +214,7 @@ for _g in ("f4", "e6sc", "e7"):
 for _a in (1, 2):
     _register(f"k2.e8.mod3.a{_a}", "bialgebra",
               f"K(2) mod 3 of E_8, coproduct parameter a = {_a}",
-              (lambda a: lambda: _k2_e8_mod3(a))(_a))
+              (lambda a: lambda: _k2_typeone(3, a))(_a))
 for _a in (1, 2, 3, 4):
     _register(f"k2.e8.mod5.a{_a}", "bialgebra",
               f"K(2) mod 5 of E_8, coproduct parameter a = {_a}",

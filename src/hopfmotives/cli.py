@@ -15,7 +15,8 @@ import json
 import sys
 
 from . import catalog
-from .algebra import SchemaError, bialgebra_to_dict, borel_normalize, gen_mono
+from .algebra import (SchemaError, _terms_str, bialgebra_to_dict, borel_normalize,
+                      gen_mono)
 from .comod import (coinvariants, comodule_to_dict, label_str,
                     quadric_comodule, restrict_comodule)
 from .dual import decompose
@@ -72,12 +73,8 @@ def _emit(args, payload, text_lines):
 
 def _combo_str(M, vec):
     """Render {label: coeff} over a comodule's labels, in display order."""
-    bits = []
-    for lab in sorted(vec, key=M.position.__getitem__):
-        c = vec[lab]
-        s = M.label_str(lab)
-        bits.append(s if c == 1 else f"{c}*{s}")
-    return " + ".join(bits) if bits else "0"
+    return _terms_str((M.label_str(lab), vec[lab])
+                      for lab in sorted(vec, key=M.position.__getitem__))
 
 
 def _bialgebra_lines(B, head=()):
@@ -90,14 +87,7 @@ def _bialgebra_lines(B, head=()):
             f"coproduct {B.coproduct(B.gen(g.name))}"
         lines.append(f"generator {g.name}: degree {g.degree}, "
                      f"truncation {g.truncation}, {tag}")
-    for rule in B.rules:
-        src = B.monomial_str(rule.source)
-        if rule.target is None:
-            rhs = "0"
-        else:
-            tgt = B.monomial_str(rule.target)
-            rhs = tgt if rule.coeff == 1 else f"{rule.coeff}*{tgt}"
-        lines.append(f"rule: {src} -> {rhs}")
+    lines.extend(f"rule: {B.rule_str(rule)}" for rule in B.rules)
     return lines
 
 

@@ -49,8 +49,9 @@ from functools import cached_property
 from . import _linalg
 from .algebra import (Algebra, SchemaError, TensorElement, _check_keys,
                       _check_rules, _coassociative, _gens_from_json,
-                      _mod_sum, _rules_from_json, bialgebra_from_dict,
-                      bialgebra_to_dict, extend_multiplicatively, gen_mono,
+                      _mod_sum, _rules_from_json, _terms_str,
+                      bialgebra_from_dict, bialgebra_to_dict,
+                      extend_multiplicatively, gen_mono,
                       mono_from_json, mono_to_json, presentation_to_dict,
                       tensor_terms_from_json)
 from .jinv import quotient_bialgebra, quotient_with_map, so_borel
@@ -100,15 +101,9 @@ class _ComoduleBase:
     def coaction_str(self, label):
         H = self.H
         vec = self.coaction_vec(label)
-        if not vec:
-            return "0"
-        bits = []
-        for hm, lab in sorted(vec, key=lambda t: (H.degree_of(t[0]), t[0],
-                                                  _label_key(t[1]))):
-            c = vec[(hm, lab)]
-            s = f"{H.monomial_str(hm)}⊗{self.label_str(lab)}"
-            bits.append(s if c == 1 else f"{c}*{s}")
-        return " + ".join(bits)
+        order = sorted(vec, key=lambda t: (H.degree_of(t[0]), t[0], _label_key(t[1])))
+        return _terms_str((f"{H.monomial_str(hm)}⊗{self.label_str(lab)}", vec[hm, lab])
+                          for hm, lab in order)
 
     def label_str(self, label):
         return label_str(label)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import Bialgebra, Element, GeneratorDecl, gen_mono, primitive_bialgebra
+from .algebra import (Bialgebra, Element, GeneratorDecl, _terms_str, gen_mono,
+                      primitive_bialgebra)
 
 _TUPLE_ENUM_BOUND = 10_000
 
@@ -122,18 +123,8 @@ class PoincarePoly:
         return PoincarePoly(quot)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if d == 0:
-                bits.append(str(c))
-            else:
-                t = "t" if d == 1 else f"t^{d}"
-                bits.append(t if c == 1 else f"{c}*{t}")
-        return " + ".join(bits)
+        return _terms_str(("" if d == 0 else "t" if d == 1 else f"t^{d}", c)
+                          for d, c in enumerate(self.coeffs) if c)
 
     __repr__ = __str__
 

@@ -282,6 +282,16 @@ def test_falsy_unit_monomial_survives_arithmetic():
     assert (t + t).terms == {}
 
 
+def test_element_and_tensor_rendering():
+    """A scalar term shows its bare coefficient; a tensor term never does."""
+    B = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3),))
+    x = B.gen("x")
+    assert str(2 * B.one() + x) == "2 + x"
+    assert str(B.zero()) == "0"
+    assert str(TensorElement(B, B, {})) == "0"
+    assert str(TensorElement(B, B, {(B.unit_mono, B.unit_mono): 2})) == "2*1⊗1"
+
+
 # ---------------------------------------------------------------------------
 # coproducts and antipodes
 # ---------------------------------------------------------------------------
@@ -426,6 +436,16 @@ def test_coaction_rule_failure_carries_its_difference():
     M = AlgebraComodule(H, A, {"x": [(1, (0,), (1,)), (1, (1,), (0,))]})
     assert M.verify().failures == [
         "coaction does not respect x^2 -> 0 (difference t^2⊗1)"]
+
+
+def test_rule_failure_shows_the_target_coefficient():
+    """Over F_3 with x and z primitive, Delta(x^2) - 2 Delta(z) = 2 x (x) x."""
+    B = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3), GeneratorDecl("z", 2, 2)),
+                            (RewriteRule((2, 0), (0, 1), 2), RewriteRule((1, 1), None)))
+    assert B.verify().failures == [
+        "coproduct does not respect x^2 -> 2*z (difference 2*x⊗x)",
+        "coproduct does not respect x*z -> 0 (difference x⊗z + z⊗x)",
+        "coproduct does not respect z^2 -> 0 (difference 2*z⊗z)"]
 
 
 def test_primitive_bialgebra():

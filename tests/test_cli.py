@@ -12,7 +12,8 @@ import pathlib
 import pytest
 
 from hopfmotives import catalog
-from hopfmotives.algebra import GeneratorDecl, primitive_bialgebra
+from hopfmotives.algebra import (Bialgebra, GeneratorDecl, RewriteRule,
+                                 bialgebra_to_dict, primitive_bialgebra)
 from hopfmotives.cli import main
 from hopfmotives.comod import BasisComodule, comodule_to_dict
 
@@ -100,6 +101,37 @@ def test_verify_checks_the_comodules_own_bialgebra(tmp_path, capsys):
     assert (code, err) == (1, "")
     assert out == ("fail:\n  coproduct does not respect t^3 -> 0 "
                    "(difference t⊗t^2 + t^2⊗t)\n")
+
+
+def test_catalog_show_prints_rule_coefficients(tmp_path, monkeypatch, capsys):
+    """x primitive and Delta(z) = z (x) 1 + x (x) x + 1 (x) z over F_3 respect
+    x^2 -> 2*z and x*z -> 0."""
+    gens = (GeneratorDecl("x", 1, 3), GeneratorDecl("z", 2, 2))
+    B = Bialgebra(3, gens, (RewriteRule((2, 0), (0, 1), 2),
+                            RewriteRule((1, 1), None)),
+                  {"x": [(1, (1, 0), (0, 0)), (1, (0, 0), (1, 0))],
+                   "z": [(1, (0, 1), (0, 0)), (1, (1, 0), (1, 0)),
+                         (1, (0, 0), (0, 1))]})
+    (tmp_path / "coeff.rule.json").write_text(json.dumps(bialgebra_to_dict(B)))
+    monkeypatch.setenv(catalog.ENV_DIR, str(tmp_path))
+    code, out, err = run(capsys, "catalog", "show", "coeff.rule")
+    assert (code, err) == (0, "")
+    assert "rule: x^2 -> 2*z\nrule: x*z -> 0\n" in out
+
+
+def test_coinv_prints_int_labels_with_coefficients(tmp_path, monkeypatch, capsys):
+    """Over the primitive F_3[x]/(x^3), rho(0) = 1 (x) 0 + x (x) 2 and
+    rho(1) = 1 (x) 1 + x (x) 2 leave 0 + 2*1 coinvariant; label 1 is never a
+    bare scalar."""
+    H = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3),))
+    M = BasisComodule(H, [0, 1, 2], {0: 0, 1: 0, 2: 1},
+                      {0: [(1, (0,), 0), (1, (1,), 2)],
+                       1: [(1, (0,), 1), (1, (1,), 2)],
+                       2: [(1, (0,), 2)]})
+    (tmp_path / "int.labels.json").write_text(json.dumps(comodule_to_dict(M)))
+    monkeypatch.setenv(catalog.ENV_DIR, str(tmp_path))
+    code, out, err = run(capsys, "coinv", "int.labels")
+    assert (code, out, err) == (0, "0 + 2*1\n2\ncount: 2\n", "")
 
 
 def test_verify_json_format(capsys):

@@ -35,6 +35,11 @@ def test_poincare_poly_basics():
     assert (g - g) == PoincarePoly([])
 
 
+def test_poincare_poly_rendering():
+    assert str(PoincarePoly([2, 1, 0, 3])) == "2 + t + 3*t^3"
+    assert str(PoincarePoly([])) == "0"
+
+
 coeff_lists = st.lists(st.integers(-4, 4), min_size=0, max_size=6)
 
 
