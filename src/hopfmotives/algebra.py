@@ -152,6 +152,8 @@ class Algebra:
         for g in generators:
             if not isinstance(g.name, str) or not g.name:
                 raise ValueError(f"generator name must be a nonempty string: {g!r}")
+            if not g.name.isidentifier():
+                raise ValueError(f"generator name must be an identifier: {g.name!r}")
             if g.degree < 1:
                 raise ValueError(f"generator {g.name}: degree must be >= 1")
             if g.truncation < 2:
@@ -793,6 +795,8 @@ def _gens_from_json(data, path):
         name = g.get("name")
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{gpath}.name", "expected a nonempty string")
+        if not name.isidentifier():
+            raise SchemaError(f"{gpath}.name", f"expected an identifier, got {name!r}")
         out.append(GeneratorDecl(name, _int_field(g, "degree", gpath),
                                  _int_field(g, "truncation", gpath)))
     return tuple(out)

@@ -5,12 +5,15 @@ Results go to stdout, diagnostics to stderr.  Exit status: 0 on success,
 malformed files, invalid J-tuples and the like).
 
 Every subcommand takes ``--format text|json``; both forms are deterministic,
-so output can be compared byte for byte.
+so output can be compared byte for byte.  ``main(argv)`` can be called
+repeatedly in one process and builds its parser once.  Usage errors still
+raise ``SystemExit(2)``, as argparse does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -257,7 +260,9 @@ def cmd_grouplikes(args):
     return _emit(args, payload, text)
 
 
+@functools.cache
 def build_parser():
+    """Built once per process and shared: do not mutate it or set handlers."""
     ap = argparse.ArgumentParser(
         prog="hopfmotives",
         description="Truncated-polynomial bialgebras over F_p, their "
@@ -272,24 +277,20 @@ def build_parser():
     csub.add_parser("list", parents=[fmt], help="list catalog keys")
     sp = csub.add_parser("show", parents=[fmt], help="print one entry")
     sp.add_argument("key")
-    cp.set_defaults(func=cmd_catalog)
 
     vp = sub.add_parser("verify", parents=[fmt],
                         help="check the axioms of a catalog key or JSON file")
     vp.add_argument("target", help="catalog key, or path to a JSON file")
-    vp.set_defaults(func=cmd_verify)
 
     qp = sub.add_parser("quotient", parents=[fmt],
                         help="quotient a bialgebra by the bi-ideal of a J-tuple")
     qp.add_argument("key")
     qp.add_argument("--jtuple", required=True, help="e.g. 1,1,0")
-    qp.set_defaults(func=cmd_quotient)
 
     pp = sub.add_parser("poincare", parents=[fmt],
                         help="Poincare polynomial of a J-quotient")
     pp.add_argument("key")
     pp.add_argument("--jtuple", required=True)
-    pp.set_defaults(func=cmd_poincare)
 
     dp = sub.add_parser("dual", parents=[fmt],
                         help="block decomposition of the dual algebra")
@@ -297,7 +298,6 @@ def build_parser():
     dp.add_argument("--jtuple", help="quotient before dualizing")
     dp.add_argument("--alpha", type=int,
                     help="shorthand: append .a<N> to the catalog key")
-    dp.set_defaults(func=cmd_dual)
 
     xp = sub.add_parser("quadric", parents=[fmt],
                         help="block partition of a quadric cell comodule")
@@ -311,13 +311,11 @@ def build_parser():
     xp.add_argument("--dot", action="store_true",
                     help="emit Graphviz source instead of block lists "
                          "(with --format json: under the key 'dot')")
-    xp.set_defaults(func=cmd_quadric)
 
     rp = sub.add_parser("rpe", parents=[fmt],
                         help="top-ideal summand pairs of a restricted comodule")
     rp.add_argument("key")
     rp.add_argument("--jtuple", required=True)
-    rp.set_defaults(func=cmd_rpe)
 
     ip = sub.add_parser("coinv", parents=[fmt],
                         help="basis of the coinvariants of a comodule")
@@ -326,19 +324,17 @@ def build_parser():
     ip.add_argument("--degree", type=int,
                     help="only coinvariants in the span of this degree's labels "
                          "(one that mixes degrees is in no single degree)")
-    ip.set_defaults(func=cmd_coinv)
 
     gp = sub.add_parser("grouplikes", parents=[fmt],
                         help="all group-like elements")
     gp.add_argument("key")
-    gp.set_defaults(func=cmd_grouplikes)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -673,6 +673,21 @@ def test_empty_generator_name_is_refused_with_its_declaration():
                               "GeneratorDecl(name='', degree=1, truncation=2)")
 
 
+@pytest.mark.parametrize("name", ["1", "2x", "x*y", "x^2", "x+y", "x⊗y", "x y"])
+def test_generator_names_must_be_identifiers(name):
+    """A name such as 1 would print like a scalar: 2*gen("1") and 2*one()
+    would both read 2."""
+    with pytest.raises(ValueError) as err:
+        Algebra(3, (GeneratorDecl(name, 1, 3),))
+    assert str(err.value) == f"generator name must be an identifier: {name!r}"
+    data = dict(bialgebra_to_dict(catalog.get("k0.pgl3")),
+                generators=[{"name": name, "degree": 1, "truncation": 3}])
+    with pytest.raises(SchemaError) as err:
+        bialgebra_from_dict(data)
+    assert err.value.path == "$.generators[0].name"
+    assert str(err.value).endswith(f"expected an identifier, got {name!r}")
+
+
 def test_verify_report_passes_until_a_failure():
     report = VerifyReport()
     assert report and str(report) == "pass"

@@ -11,10 +11,10 @@ import pathlib
 
 import pytest
 
-from hopfmotives import catalog
+from hopfmotives import catalog, cli
 from hopfmotives.algebra import (Bialgebra, GeneratorDecl, RewriteRule,
                                  bialgebra_to_dict, primitive_bialgebra)
-from hopfmotives.cli import main
+from hopfmotives.cli import build_parser, main
 from hopfmotives.comod import BasisComodule, comodule_to_dict
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -324,7 +324,41 @@ def test_bad_extra_edges_schema(tmp_path, capsys):
     assert code == 2 and "edges[0]" in err
 
 
-def test_argparse_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["quotient", "e8.mod3"])      # --jtuple is required
-    assert exc.value.code == 2
+def test_argparse_usage_error_exit_code(capsys):
+    errs = []
+    for _ in range(2):      # the second call reuses the parser
+        with pytest.raises(SystemExit) as exc:
+            main(["quotient", "e8.mod3"])      # --jtuple is required
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and "--jtuple" in errs[0]
+
+
+# -- repeated calls in one process ---------------------------------------------------
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ("poincare", "e8.mod3", "--jtuple", "1,1"),
+    ("rpe", "e8p8.mod3", "--jtuple", "1,1", "--format", "json"),
+    ("poincare", "nope", "--jtuple", "1"),
+], ids=["text", "json", "library-error"])
+def test_a_repeated_call_gives_the_same_result(capsys, argv):
+    first = run(capsys, *argv)
+    assert run(capsys, *argv) == first
+    code, out, err = first
+    if argv[1] == "nope":
+        assert (code, out) == (2, "") and err.startswith("error:")
+    else:
+        assert code == 0 and out and err == ""
+
+
+def test_handlers_are_looked_up_on_every_call(monkeypatch, capsys):
+    """The shared parser must not pin the handler it saw first."""
+    run(capsys, "coinv", "e7p7.mod2", "--degree", "9")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_coinv", lambda args: seen.append(args.key) or 7)
+    assert run(capsys, "coinv", "e7p7.mod2") == (7, "", "")
+    assert seen == ["e7p7.mod2"]

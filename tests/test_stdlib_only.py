@@ -35,3 +35,20 @@ def test_cold_cli_import_loads_no_slow_stdlib_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_cold_cli_import_builds_no_parser():
+    # count ArgumentParser constructions in a fresh interpreter: none at
+    # import, some on the first build, none on the second
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "import argparse; calls = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: calls.append(1) or init(self, *a, **k); "
+            "import hopfmotives.cli as cli; counts = [len(calls)]; "
+            "cli.build_parser(); counts.append(len(calls)); "
+            "cli.build_parser(); counts.append(len(calls)); print(*counts)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    at_import, first, second = map(int, out.split())
+    assert at_import == 0
+    assert first > 0 and second == first
