@@ -87,6 +87,18 @@ class Echelon:
             self._reduced = True
         return self._rows
 
+    def add_closure(self, vectors, gens, multiply):
+        """Add the vectors, and multiply(g, v) for each g in ``gens`` and each
+        v that enlarged the span, until the span is closed under those
+        products; returns the vectors that enlarged it."""
+        new, todo = [], list(vectors)
+        while todo:
+            v = todo.pop()
+            if self.add(v):
+                new.append(v)
+                todo += [multiply(g, v) for g in gens]
+        return new
+
     def kernel(self):
         """Basis of the right kernel of the rows, by non-pivot column."""
         return _kernel(self.rows, self.ncols, self.p)

@@ -24,9 +24,12 @@ checks and ``dual`` share; only the hot kernels (``comod.tensor_comodule``,
 ``_linalg.Echelon.add``) keep loops of their own.  ``_coassociative`` and
 ``_check_rules`` are the one coassociativity test and the one rewrite-rule
 loop, for the coproduct (``verify_bialgebra``) and for coactions (``comod``).
-The ``_normal`` constructors of ``Element`` and ``TensorElement`` sum terms
-that are already normal, such as the products ``mul_mono`` has just
-normalized, without normalizing them again.
+Each presentation keeps one product table: ``mul_mono(a, b)`` normalizes
+the exponent sum of a pair once and looks the pair up after that, so element
+and tensor products, and through them the coproduct, coaction and antipode
+tables, compute each monomial product once per algebra.  The ``_normal``
+constructors of ``Element`` and ``TensorElement`` sum terms that are already
+normal, such as the table's products, without normalizing them again.
 
 ``_terms_str`` is the one home of the display format "c*term + ..." that
 elements, tensors, coactions, coinvariant vectors and Poincare polynomials
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
+from operator import add
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -166,6 +170,7 @@ class Algebra:
         self.unit_mono = (0,) * len(generators)
         self._compiled = self._compile_rules()
         self._nf_cache = {}
+        self._products = {}  # (a, b) -> mul_mono(a, b)
         self._basis_cache = None
         self._check_confluence()
 
@@ -272,7 +277,13 @@ class Algebra:
                        for rule in self._compiled)
 
     def mul_mono(self, a, b):
-        return self.normalize(tuple(x + y for x, y in zip(a, b)))
+        """The product of two exponent tuples, as ``normalize`` returns it,
+        from this presentation's product table (filled on first use)."""
+        try:
+            return self._products[a, b]
+        except KeyError:
+            result = self._products[a, b] = self.normalize(tuple(map(add, a, b)))
+            return result
 
     # -- basis -------------------------------------------------------------
 

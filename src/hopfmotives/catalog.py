@@ -109,7 +109,7 @@ def _e8_mod2():
 
 
 def _e7p7_mod2():
-    H = get("e7sc.mod2")
+    H = get("e7sc.mod2", verify=False)  # verified by the comodule's verify
     module = Algebra(2, (GeneratorDecl("h", 1, 14), GeneratorDecl("x_5", 5, 2),
                          GeneratorDecl("x_9", 9, 2)))
     zero3 = (0, 0, 0)
@@ -124,7 +124,7 @@ def _e7p7_mod2():
 
 
 def _e8p8_mod3():
-    H = get("e8.mod3")
+    H = get("e8.mod3", verify=False)  # verified by the comodule's verify
     # declared so that rewrite targets are lexicographically smaller
     module = Algebra(3, (GeneratorDecl("x_10", 10, 3), GeneratorDecl("x_6", 6, 4),
                          GeneratorDecl("h", 1, 26)),

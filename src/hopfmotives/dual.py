@@ -21,13 +21,16 @@ by Berlekamp's fixed-space method applied to the centre (Friedl--Ronyai):
 Every step is polynomial in dim H; nothing is enumerated or factored.
 
 ``grouplikes`` reads the group-likes of H, the characters of H^dual, off the
-blocks of its abelianization C = H^dual / H^dual [H^dual, H^dual].  C is
-commutative, so each block is local and carries at most one character: on a
-block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K is at least
-the block's dimension.  Both run on ``TableAlgebra``, an algebra given by
-its structure constants: ``table[i][j]`` is the nonzero product b_i b_j,
-and it and every element are sparse {k: c} dicts, the row format of
-``_linalg``.  Only ``Block.idempotent`` is a dense coordinate tuple.
+blocks of its abelianization C = H^dual / H^dual [H^dual, H^dual].  The
+ideal is the commutator span closed under left multiplication by a
+generating set G of H^dual, the basis vectors kept in index order that the
+earlier ones do not generate: about dim |G| + dim I |G| products in all.  C
+is commutative, so each block is local and carries at most one character: on
+a block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K is at
+least the block's dimension.  Both run on ``TableAlgebra``, an algebra
+given by its structure constants: ``table[i][j]`` is the nonzero product
+b_i b_j, and it and every element are sparse {k: c} dicts, the row format
+of ``_linalg``.  Only ``Block.idempotent`` is a dense coordinate tuple.
 """
 
 from __future__ import annotations
@@ -133,19 +136,44 @@ class DualAlgebra(TableAlgebra):
         return {self.index[tuple(mono)]: 1}
 
 
+def _generators(A):
+    """The b_m, in index order, that are not in the subalgebra generated by
+    the b_m kept before them: a generating set of A.
+
+    That subalgebra is the span of the unit closed under left multiplication
+    by the kept b_m, so each of its basis vectors is multiplied by each
+    generator once: about dim |G| products.
+    """
+    sub, gens = _linalg.Echelon(A.dim, A.p), []
+    spanned = sub.add_closure([A.unit], gens, A.multiply)
+    for m in range(A.dim):
+        if len(spanned) == A.dim:
+            break
+        b = {m: 1}
+        if new := sub.add_closure([b], gens, A.multiply):
+            gens.append(b)
+            spanned += new
+            spanned += sub.add_closure([A.multiply(b, v) for v in spanned],
+                                       gens, A.multiply)
+    return gens
+
+
 def _abelianization(A):
     """C = A / I for I = A [A, A], and the image in C of each basis vector of A.
 
     A character of A kills I.  This left ideal is two-sided, because
-    [a, b] c = [a, bc] - b [a, c], so I is spanned by the b_m v for v in a
-    basis of the commutators.  C's basis is the non-pivot columns of I's
-    echelon; its table is A's on non-pivot pairs, each product projected mod I.
+    [a, b] c = [a, bc] - b [a, c], so I is the span of the commutators
+    closed under left multiplication by a generating set G of A
+    (``_generators``), which takes about dim |G| + dim I |G| products; for
+    a commutative A, I is 0 and no generators are sought.  C's basis is the
+    non-pivot columns of I's echelon; its table is A's on non-pivot pairs,
+    each product projected mod I.
     """
     p, dim = A.p, A.dim
     ideal = _linalg.Echelon(dim, p)
-    for v in _linalg.rref(list(_commutators(A).values()), dim, p)[0]:
-        for m in range(dim):
-            ideal.add(A.multiply({m: 1}, v))
+    commutators = _linalg.rref(list(_commutators(A).values()), dim, p)[0]
+    if commutators:
+        ideal.add_closure(commutators, _generators(A), A.multiply)
     pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in ideal.rows)}
     proj = [{pos[k]: 1} if k in pos else {} for k in range(dim)]
     for k, row in ideal.rows.items():

@@ -103,6 +103,32 @@ def test_e8p8_module_rules_terminate_and_count():
     assert A.normalize((3, 0, 0)) == (2, (0, 1, 24))
 
 
+def fresh_algebra(key, monkeypatch):
+    """A newly built catalog algebra (the module algebra of a comodule), with
+    an empty product table and normal-form cache."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    obj = catalog.get(key, verify=False)
+    return getattr(obj, "module", obj)
+
+
+@pytest.mark.parametrize("key", ["so13.mod2", "e8.mod2", "e8.mod3", "e8p8.mod3"])
+def test_mul_mono_is_the_normal_form_of_the_exponent_sum(key, monkeypatch):
+    """Every pair of basis monomials, against the normal forms of a second
+    build, including the sums that reach a truncation or a rule source; a
+    repeated call gives the same product."""
+    A = fresh_algebra(key, monkeypatch)
+    oracle = fresh_algebra(key, monkeypatch)
+    rewritten = 0
+    for a, b in itertools.product(A.basis(), repeat=2):
+        total = tuple(x + y for x, y in zip(a, b))
+        rewritten += not A.is_normal(total)
+        assert A.mul_mono(a, b) == oracle.normalize(total), (a, b)
+    assert rewritten > 0
+    for a, b in itertools.product(A.basis()[:12], A.basis()[-12:]):
+        assert A.mul_mono(a, b) is A.mul_mono(a, b) == oracle.normalize(
+            tuple(x + y for x, y in zip(a, b)))
+
+
 # ---------------------------------------------------------------------------
 # element arithmetic
 # ---------------------------------------------------------------------------

@@ -185,3 +185,28 @@ def test_cache_follows_the_override_directory(tmp_path, monkeypatch):
     assert catalog.get("g2.mod2").generators[0].truncation == 4
     monkeypatch.delenv(catalog.ENV_DIR)
     assert catalog.get("g2.mod2").generators[0].truncation == 2
+
+
+@pytest.mark.parametrize("key", ["e7p7.mod2", "e8p8.mod3"])
+def test_a_comodule_verifies_its_bialgebra_once(key, monkeypatch):
+    from hopfmotives import algebra
+
+    calls = []
+    verify = algebra.verify_bialgebra
+    monkeypatch.setattr(algebra, "verify_bialgebra",
+                        lambda B: calls.append(B) or verify(B))
+    monkeypatch.setattr(catalog, "_cache", {})
+    catalog.get(key)
+    assert len(calls) == 1
+
+
+def test_a_comodule_over_a_broken_bialgebra_fails_verification(tmp_path, monkeypatch):
+    from hopfmotives.algebra import bialgebra_to_dict
+
+    data = bialgebra_to_dict(catalog.get("e8.mod3"))
+    data["coproducts"]["e_4"] = data["coproducts"]["e_4"][:1]
+    (tmp_path / "e8.mod3.json").write_text(json.dumps(data))
+    monkeypatch.setenv(catalog.ENV_DIR, str(tmp_path))
+    monkeypatch.setattr(catalog, "_cache", {})
+    with pytest.raises(ValueError, match=r"(?s)fails verification: .*counit law fails on e_4"):
+        catalog.get("e8p8.mod3")

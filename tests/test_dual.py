@@ -13,16 +13,18 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from hopfmotives import catalog
 from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
                                  TensorElement)
-from hopfmotives._linalg import kernel_basis, rref
+from hopfmotives._linalg import Echelon, kernel_basis, rref
 from hopfmotives.dual import (DualAlgebra, TableAlgebra, _abelianization,
-                              _centre, _commutators, decompose,
-                              dual_presentation, tate_block)
-from hopfmotives.jinv import quotient_bialgebra
+                              _centre, _commutators, _generators, _sum,
+                              decompose, dual_presentation, tate_block)
+from hopfmotives.jinv import is_bi_ideal, quotient_bialgebra, valid_jtuples
 
 
 # -- dual algebra structure -------------------------------------------------------
@@ -318,6 +320,116 @@ def test_abelianization_kills_a_two_sided_ideal(B):
             assert not project(sparse(right))
 
 
+def abelianization_by_all_basis(A):
+    """``_abelianization`` with I spanned by b_m v for every basis vector
+    b_m and every v of a commutator basis: dim products per commutator,
+    with no generating set involved."""
+    p, dim = A.p, A.dim
+    ideal = Echelon(dim, p)
+    for v in rref(list(_commutators(A).values()), dim, p)[0]:
+        for m in range(dim):
+            ideal.add(A.multiply({m: 1}, v))
+    pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in ideal.rows)}
+    proj = [{pos[k]: 1} if k in pos else {} for k in range(dim)]
+    for k, row in ideal.rows.items():
+        proj[k] = {pos[f]: -c % p for f, c in row.items() if f != k}
+
+    def project(v):
+        return _sum(p, *((c, proj[k]) for k, c in v.items()))
+
+    table = [{} for _ in pos]
+    for i, n in pos.items():
+        for j, prod in A.table[i].items():
+            if j in pos and (w := project(prod)):
+                table[n][pos[j]] = w
+    return TableAlgebra(p, len(pos), project(A.unit), table), proj
+
+
+def noncommutative_e8_mod2_quotient_duals():
+    B = catalog.get("e8.mod2")
+    duals = [DualAlgebra(quotient_bialgebra(B, J)) for J in valid_jtuples(B)
+             if is_bi_ideal(B, J)[0]]
+    return [D for D in duals if _commutators(D)]
+
+
+def test_abelianization_matches_the_all_basis_ideal():
+    duals = [DualAlgebra(B) for B in (catalog.get("e8.mod2"), skew_bialgebra(2),
+                                      skew_bialgebra(3), skew_bialgebra(5))]
+    quotients = noncommutative_e8_mod2_quotient_duals()
+    assert len(quotients) == 14
+    for A in duals + quotients:
+        C, proj = _abelianization(A)
+        want, want_proj = abelianization_by_all_basis(A)
+        assert (C.table, C.unit, proj) == (want.table, want.unit, want_proj)
+
+
+def test_abelianization_multiplies_by_generators_only(monkeypatch):
+    """A return to closing the ideal under all 128 basis vectors (8,064
+    products on e8.mod2's dual) fails this count."""
+    A = DualAlgebra(catalog.get("e8.mod2"))
+    calls = []
+    multiply = TableAlgebra.multiply
+    monkeypatch.setattr(TableAlgebra, "multiply",
+                        lambda self, u, v: calls.append(1) or multiply(self, u, v))
+    _abelianization(A)
+    assert 0 < len(calls) <= 2000
+
+
+def permutation_group(gens, n):
+    """The sorted elements of the group of permutations of range(n)
+    generated by ``gens``; (g h)(x) = g(h(x))."""
+    identity = tuple(range(n))
+    group, todo = {identity}, [identity]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            if (h := tuple(s[g[x]] for x in range(n))) not in group:
+                group.add(h)
+                todo.append(h)
+    return sorted(group)
+
+
+def group_algebra(p, perms):
+    """F_p[G] as a TableAlgebra on the sorted permutations ``perms`` of G."""
+    n = len(perms[0])
+    index = {g: i for i, g in enumerate(perms)}
+    table = [{index[h]: {index[tuple(g[h[x]] for x in range(n))]: 1}
+              for h in perms} for g in perms]
+    return TableAlgebra(p, len(perms), {index[tuple(range(n))]: 1}, table)
+
+
+def subalgebra(A, gens):
+    """A basis of the subalgebra of A generated by ``gens``: the unit's span
+    closed under left multiplication by them, by rank."""
+    span, rank = [A.unit], 0
+    while len(span) > rank:
+        rank = len(span)
+        span = rref(span + [A.multiply(g, v) for g in gens for v in span],
+                    A.dim, A.p)[0]
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.lists(st.permutations(range(4)), min_size=1, max_size=3))
+def test_abelianization_of_a_group_algebra_is_that_of_the_group(p, gens):
+    """F_p[G] / F_p[G] [F_p[G], F_p[G]] is F_p[G / [G, G]], of dimension
+    |G / [G, G]|; and the generators found generate F_p[G], each basis
+    vector kept exactly when the ones kept before it do not generate it."""
+    G = permutation_group([tuple(g) for g in gens], 4)
+    inverse = {g: tuple(sorted(range(4), key=g.__getitem__)) for g in G}
+    commutators = {tuple(g[h[inverse[g][inverse[h][x]]]] for x in range(4))
+                   for g in G for h in G}
+    A = group_algebra(p, G)
+    assert _abelianization(A)[0].dim == len(G) // len(permutation_group(commutators, 4))
+    found = _generators(A)
+    assert len(subalgebra(A, found)) == A.dim
+    for m in range(A.dim):
+        earlier = subalgebra(A, [g for g in found if min(g) < m])
+        outside = len(rref(earlier + [{m: 1}], A.dim, p)[0]) > len(earlier)
+        assert outside == ({m: 1} in found)
+
+
 @pytest.mark.parametrize("key", BIALGEBRA_KEYS)
 def test_grouplikes_contain_one_and_are_closed_under_product(key):
     B = catalog.get(key)
@@ -425,9 +537,7 @@ def s3_group_algebra(p):
     3-cycles) as elements."""
     perms = sorted(itertools.permutations(range(3)))
     index = {g: i for i, g in enumerate(perms)}
-    table = [{index[h]: {index[tuple(g[h[x]] for x in range(3))]: 1}
-              for h in perms} for g in perms]
-    A = TableAlgebra(p, len(perms), {index[(0, 1, 2)]: 1}, table)
+    A = group_algebra(p, perms)
     fixed = {g: sum(g[x] == x for x in range(3)) for g in perms}
     classes = [{index[g]: 1 for g in perms if fixed[g] == n} for n in (3, 1, 0)]
     return A, classes

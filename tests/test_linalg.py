@@ -165,6 +165,39 @@ def test_echelon_matches_the_always_reduced_oracle(case):
             assert ech.add(step) == oracle.add(step)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.lists(sparse_matrices(), max_size=3))
+def test_add_closure_spans_the_least_closed_subspace(case, maps):
+    """The span after ``add_closure`` is the least one holding the vectors
+    and closed under the maps (a map's row k is its image of column k),
+    found by the oracle taking every image until the rank stops growing;
+    the vectors returned are a basis of what was added, and each of them
+    is mapped once by each map."""
+    p, ncols, vectors = case
+    gens = [{k: row for k, row in enumerate(rows[:ncols])} for _p, _n, rows in maps]
+    calls = []
+
+    def apply(g, v):
+        calls.append(1)
+        out = {}
+        for k, c in v.items():
+            for j, d in g.get(k, {}).items():
+                if j < ncols:
+                    out[j] = out.get(j, 0) + c * d
+        return out
+
+    ech = _linalg.Echelon(ncols, p)
+    new = ech.add_closure(vectors, gens, apply)
+    assert len(calls) == len(new) * len(gens)
+    span, size = oracle_rref(vectors, ncols, p)[0], -1
+    while len(span) > size:
+        size = len(span)
+        span = oracle_rref(span + [apply(g, v) for g in gens for v in span],
+                           ncols, p)[0]
+    assert ech.rows == {min(row): row for row in span}
+    assert len(new) == len(span) == rank(new, ncols, p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices(), st.randoms(use_true_random=False))
 def test_rref_and_kernel_do_not_depend_on_row_order(case, rnd):
