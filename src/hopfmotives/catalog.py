@@ -108,8 +108,7 @@ def _e8_mod2():
     return Bialgebra(2, gens, (), cops)
 
 
-def _e7p7_mod2():
-    H = get("e7sc.mod2", verify=False)  # verified by the comodule's verify
+def _e7p7_mod2(H):
     module = Algebra(2, (GeneratorDecl("h", 1, 14), GeneratorDecl("x_5", 5, 2),
                          GeneratorDecl("x_9", 9, 2)))
     zero3 = (0, 0, 0)
@@ -123,8 +122,7 @@ def _e7p7_mod2():
     return AlgebraComodule(H, module, coaction)
 
 
-def _e8p8_mod3():
-    H = get("e8.mod3", verify=False)  # verified by the comodule's verify
+def _e8p8_mod3(H):
     # declared so that rewrite targets are lexicographically smaller
     module = Algebra(3, (GeneratorDecl("x_10", 10, 3), GeneratorDecl("x_6", 6, 4),
                          GeneratorDecl("h", 1, 26)),
@@ -162,15 +160,15 @@ def _k2_typeone(p, alpha):
     return Bialgebra(p, (GeneratorDecl(name, p + 1, p),), (), {name: terms})
 
 
-# kind: "bialgebra" | "comodule"
-Entry = namedtuple("Entry", "kind description builder")
+# kind: "bialgebra" | "comodule"; over: the key of a comodule's bialgebra
+Entry = namedtuple("Entry", "kind description builder over")
 
 
 _ENTRIES = {}
 
 
-def _register(key, kind, description, builder):
-    _ENTRIES[key] = Entry(kind, description, builder)
+def _register(key, kind, description, builder, over=None):
+    _ENTRIES[key] = Entry(kind, description, builder, over)
 
 
 for _n in (5, 7, 9, 11, 13):
@@ -184,14 +182,14 @@ _register("e7sc.mod2", "bialgebra",
           "mod-2 Chow bialgebra of simply connected E_7 "
           "(e_5 = Sq2 e_3, e_9 = Sq4 e_5)", _e7sc_mod2)
 _register("e7p7.mod2", "comodule",
-          "cell comodule of E_7/P_7 over e7sc.mod2", _e7p7_mod2)
+          "cell comodule of E_7/P_7 over e7sc.mod2", _e7p7_mod2, "e7sc.mod2")
 _register("e8.mod2", "bialgebra",
           "mod-2 Chow bialgebra of E_8 (one imprimitive generator e_15)",
           _e8_mod2)
 _register("e8.mod3", "bialgebra",
           "mod-3 Chow bialgebra of E_8: F_3[e_4,e_10]/(cubes)", _e8_mod3)
 _register("e8p8.mod3", "comodule",
-          "cell comodule of E_8/P_8 over e8.mod3", _e8p8_mod3)
+          "cell comodule of E_8/P_8 over e8.mod3", _e8p8_mod3, "e8.mod3")
 _register("k0.sc.mod2", "bialgebra",
           "K^0 mod 2 of a simply connected group: the trivial bialgebra F_2",
           _k0_sc)
@@ -283,16 +281,19 @@ def load_object_file(path):
 
 def get(key, verify=True):
     """Build (or load) and verify a catalog entry.  Only verified entries
-    are cached, per key and per value of HOPFMOTIVES_CATALOG_DIR."""
+    are cached, per key and per value of HOPFMOTIVES_CATALOG_DIR; a built-in
+    comodule also caches its bialgebra, if built-in and not yet cached."""
     directory = os.environ.get(ENV_DIR)
     cached = _cache.get(key, {}).get(directory)
     if cached is not None:
         return cached
-    path = _override_path(key)
+    path, over = _override_path(key), None
     if path is not None:
         obj = load_object_file(path)
     elif key in _ENTRIES:
-        obj = _ENTRIES[key].builder()
+        builder, over = _ENTRIES[key].builder, _ENTRIES[key].over
+        # unverified: a comodule's verify starts with its bialgebra's
+        obj = builder(get(over, verify=False)) if over else builder()
     else:
         raise ValueError(f"unknown catalog key {key!r}")
     if verify:
@@ -300,6 +301,8 @@ def get(key, verify=True):
         if not report:
             raise ValueError(f"catalog entry {key} fails verification: {report}")
         _cache.setdefault(key, {})[directory] = obj
+        if over and not _override_path(over):
+            _cache.setdefault(over, {}).setdefault(directory, obj.H)
     return obj
 
 

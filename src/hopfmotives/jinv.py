@@ -219,7 +219,9 @@ def quotient_with_map(B, J):
     The remap sends an exponent tuple of B to its image exponent tuple in the
     quotient, or None when the monomial dies (a deleted generator appears;
     exponents at or above the new truncation are left to the quotient's own
-    normalization).
+    normalization).  The quotient records ``section = (P, lift)``: P is B or,
+    if B is a quotient, B's P, and ``lift`` the section of P -> quotient that
+    puts zeros back at the deleted generators, read by ``dual.DualAlgebra``.
     """
     J = validate_jtuple(B, J)
     witness = _bi_ideal_witness(B, J)
@@ -248,7 +250,11 @@ def quotient_with_map(B, J):
             if l2 is not None and r2 is not None:
                 terms.append((c, l2, r2))
         cops[name] = terms
-    return Bialgebra(B.prime, new_gens, (), cops), remap
+    Q = Bialgebra(B.prime, new_gens, (), cops)
+    P, up = getattr(B, "section", (B, tuple))
+    Q.section = P, lambda m: up(tuple(m[pos[i]] if i in pos else 0
+                                      for i in range(B.ngens)))
+    return Q, remap
 
 
 def quotient_bialgebra(B, J):

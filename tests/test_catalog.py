@@ -200,6 +200,35 @@ def test_a_comodule_verifies_its_bialgebra_once(key, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("module,key", [("e8p8.mod3", "e8.mod3"),
+                                        ("e7p7.mod2", "e7sc.mod2")])
+@pytest.mark.parametrize("module_first", [True, False])
+def test_a_comodule_shares_its_bialgebra_with_the_catalog(module, key,
+                                                          module_first,
+                                                          monkeypatch):
+    monkeypatch.delenv(catalog.ENV_DIR, raising=False)
+    monkeypatch.setattr(catalog, "_cache", {})
+    if module_first:
+        M = catalog.get(module)
+        assert catalog.get(key) is M.H
+    else:
+        H = catalog.get(key)
+        assert catalog.get(module).H is H
+
+
+def test_an_overridden_bialgebra_is_not_cached_from_its_comodule(tmp_path,
+                                                                 monkeypatch):
+    from hopfmotives.algebra import bialgebra_to_dict
+
+    data = bialgebra_to_dict(catalog.get("e8.mod3"))
+    (tmp_path / "e8.mod3.json").write_text(json.dumps(data))
+    monkeypatch.setenv(catalog.ENV_DIR, str(tmp_path))
+    monkeypatch.setattr(catalog, "_cache", {})
+    M = catalog.get("e8p8.mod3")
+    assert "e8.mod3" not in catalog._cache
+    assert catalog.get("e8.mod3") is not M.H
+
+
 def test_a_comodule_over_a_broken_bialgebra_fails_verification(tmp_path, monkeypatch):
     from hopfmotives.algebra import bialgebra_to_dict
 

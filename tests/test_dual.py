@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from _borel import borel_bialgebras, borel_catalog_keys
 from hopfmotives import catalog
 from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
                                  TensorElement)
@@ -24,7 +25,8 @@ from hopfmotives._linalg import Echelon, kernel_basis, rref
 from hopfmotives.dual import (DualAlgebra, TableAlgebra, _abelianization,
                               _centre, _commutators, _generators, _sum,
                               decompose, dual_presentation, tate_block)
-from hopfmotives.jinv import is_bi_ideal, quotient_bialgebra, valid_jtuples
+from hopfmotives.jinv import (borel_exponents, is_bi_ideal, quotient_bialgebra,
+                              quotient_with_map, valid_jtuples)
 
 
 # -- dual algebra structure -------------------------------------------------------
@@ -439,6 +441,77 @@ def test_grouplikes_contain_one_and_are_closed_under_product(key):
         for h in listed:
             gh = B.element(dict(g)) * B.element(dict(h))
             assert frozenset(gh.terms.items()) in listed
+
+
+# -- a J-quotient's dual, read off its parent's coproducts ------------------------
+
+def own_coproduct_table(B):
+    """The dual's table from B's own ``coproduct_mono``: the b_k coefficient
+    of f_i f_j is that of m_i (x) m_j in Delta(m_k), over every k."""
+    index = {m: i for i, m in enumerate(B.basis())}
+    table = [{} for _ in index]
+    for k, m in enumerate(B.basis()):
+        for (lm, rm), c in B.coproduct_mono(m).terms.items():
+            table[index[lm]].setdefault(index[rm], {})[k] = c
+    return table
+
+
+def bi_ideal_quotients(B):
+    """(J, quotient, remap) for every J-tuple of B that cuts out a bi-ideal."""
+    return [(J, *quotient_with_map(B, J)) for J in valid_jtuples(B)
+            if is_bi_ideal(B, J)[0]]
+
+
+def test_quotient_duals_match_their_own_coproducts():
+    checked = 0
+    for key in borel_catalog_keys():
+        P = catalog.get(key)
+        for J, Q, remap in bi_ideal_quotients(P):
+            parent, lift = Q.section
+            assert parent is P
+            assert all(remap(lift(m)) == m for m in Q.basis()), (key, J)
+            assert DualAlgebra(Q).table == own_coproduct_table(Q), (key, J)
+            checked += 1
+    assert checked == 87
+
+
+@pytest.mark.parametrize("J1,count", [((3, 2, 1, 1), 34), ((2, 1, 1, 1), 22)])
+def test_a_quotient_of_a_quotient_lifts_to_the_first_parent(J1, count):
+    P = catalog.get("e8.mod2")
+    Q1, remap1 = quotient_with_map(P, J1)
+    quotients = bi_ideal_quotients(Q1)
+    assert len(quotients) == count
+    for J2, Q2, remap2 in quotients:
+        parent, lift = Q2.section
+        assert parent is P
+        assert all(remap2(remap1(lift(m))) == m for m in Q2.basis()), J2
+        assert DualAlgebra(Q2).table == own_coproduct_table(Q2), J2
+
+
+@settings(max_examples=100, deadline=None)
+@given(borel_bialgebras())
+def test_quotient_duals_of_random_coproducts_match_their_own(B):
+    """The identity needs only a multiplicative coproduct, so presentations
+    that are not coassociative or counital are fair input."""
+    full = quotient_bialgebra(B, borel_exponents(B))   # I = 0, a quotient of B
+    for H in (B, full):
+        for J, Q, _remap in bi_ideal_quotients(H):
+            assert DualAlgebra(Q).table == own_coproduct_table(Q), J
+
+
+@pytest.mark.parametrize("key,J", [
+    ("e8.mod2", (3, 2, 1, 1)), ("e8.mod2", (2, 1, 0, 0)), ("e8.mod2", (1, 1, 1, 0)),
+    ("e8.mod3", (1, 1)), ("e7sc.mod2", (1, 1, 1)),
+])
+def test_a_quotient_dual_computes_no_coproduct_of_its_own(key, J):
+    """The blocks and group-likes of a J-quotient leave its coproduct cache
+    as construction left it: the dual's table comes from the parent, and
+    the one group-like of a connected graded quotient is 1."""
+    Q = quotient_bialgebra(catalog.get(key), J)
+    built = len(Q._cop_cache)
+    decompose(Q)
+    Q.find_grouplikes()
+    assert len(Q._cop_cache) == built
 
 
 # -- the sparse kernel, against oracles that do not read its table ---------------

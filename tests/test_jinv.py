@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _borel import borel_bialgebras, borel_catalog_keys
 from hopfmotives import catalog
-from hopfmotives.algebra import (Bialgebra, GeneratorDecl, borel_normalize,
-                                 gen_mono, verify_bialgebra)
+from hopfmotives.algebra import borel_normalize, verify_bialgebra
 from hopfmotives.jinv import (PoincarePoly, borel_exponents,
                               containment_maxima, fpoin, ideal_member,
                               is_bi_ideal, jset_to_tuple, jtuples_containing,
@@ -126,18 +126,6 @@ def full_scan_is_bi_ideal(B, J):
     return True, None
 
 
-def borel_catalog_keys():
-    out = []
-    for key in catalog.keys():
-        if catalog.kind(key) == "bialgebra":
-            try:
-                borel_exponents(catalog.get(key))
-            except ValueError:
-                continue
-            out.append(key)
-    return out
-
-
 def test_bi_ideal_matches_full_scan_on_the_catalog():
     checked = failed = 0
     for key in borel_catalog_keys():
@@ -155,28 +143,6 @@ def test_bi_ideal_matches_full_scan_on_so_borel(n):
     B = so_borel(n)
     for J in valid_jtuples(B):
         assert is_bi_ideal(B, J) == full_scan_is_bi_ideal(B, J), (n, J)
-
-
-@st.composite
-def borel_bialgebras(draw):
-    """A small Borel-form bialgebra whose generator coproducts carry random
-    extra terms.  It need not be coassociative or counital: the
-    generator-power test relies only on the coproduct being multiplicative."""
-    p = draw(st.sampled_from([2, 3]))
-    r = draw(st.integers(1, 3))
-    gens = [GeneratorDecl(f"x{i}", draw(st.integers(1, 4)),
-                          p ** draw(st.integers(1, 2 if p == 2 else 1)))
-            for i in range(r)]
-    # exponents lean to 0, so that extra terms often avoid the ideal
-    monos = st.tuples(*(st.one_of(st.just(0), st.integers(0, g.truncation - 1))
-                        for g in gens))
-    cops = {}
-    for i, g in enumerate(gens):
-        x, one = gen_mono(r, i), (0,) * r
-        extra = draw(st.lists(st.tuples(st.integers(1, p - 1), monos, monos),
-                              max_size=4))
-        cops[g.name] = [(1, x, one), (1, one, x)] + extra
-    return Bialgebra(p, gens, (), cops)
 
 
 @settings(max_examples=200, deadline=None)
