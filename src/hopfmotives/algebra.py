@@ -15,7 +15,10 @@ property of the presentation.
 
 Monomials are exponent tuples aligned with the declared generator order,
 elements are {monomial: coefficient} dicts over F_p with all monomials in
-normal form and no zero coefficients stored.
+normal form and no zero coefficients stored.  ``Element`` is the one sparse
+element type: its presentation is an ``Algebra`` or a ``TensorProduct(A, B)``,
+whose monomials are (left, right) pairs normalized and multiplied factor by
+factor, and a ``TensorElement`` is an ``Element`` over the latter.
 
 ``_mod_sum`` is the one home of the sparse F_p term sum "accumulate
 {key: c}, reduce mod p, drop zeros" that element arithmetic, the law
@@ -27,9 +30,9 @@ loop, for the coproduct (``verify_bialgebra``) and for coactions (``comod``).
 Each presentation keeps one product table: ``mul_mono(a, b)`` normalizes
 the exponent sum of a pair once and looks the pair up after that, so element
 and tensor products, and through them the coproduct, coaction and antipode
-tables, compute each monomial product once per algebra.  The ``_normal``
-constructors of ``Element`` and ``TensorElement`` sum terms that are already
-normal, such as the table's products, without normalizing them again.
+tables, compute each monomial product once per algebra.  ``Element._normal``
+sums terms that are already normal, such as the table's products, without
+normalizing them again.
 
 ``_terms_str`` is the one home of the display format "c*term + ..." that
 elements, tensors, coactions, coinvariant vectors and Poincare polynomials
@@ -353,8 +356,38 @@ class Algebra:
         return f"<{type(self).__name__} F_{self.prime}[{gens}] dim {self.dimension()}>"
 
 
+class TensorProduct:
+    """The presentation of A (x) B for two rewrite-form algebras over one
+    prime: its monomials are (left, right) pairs of normal monomials, and
+    ``normalize`` and ``mul_mono`` act on each factor in turn."""
+
+    def __init__(self, left, right):
+        if left.prime != right.prime:
+            raise ValueError("tensor factors must share the prime")
+        self.left, self.right, self.prime = left, right, left.prime
+        self.unit_mono = (left.unit_mono, right.unit_mono)
+
+    def normalize(self, mono):
+        kl, ln = self.left.normalize(mono[0])
+        kr, rn = self.right.normalize(mono[1])
+        return (0, None) if ln is None or rn is None else (kl * kr, (ln, rn))
+
+    def mul_mono(self, a, b):
+        kl, lm = self.left.mul_mono(a[0], b[0])
+        if lm is None:
+            return 0, None
+        kr, rm = self.right.mul_mono(a[1], b[1])
+        return (0, None) if rm is None else (kl * kr, (lm, rm))
+
+    def same_presentation(self, other):
+        return type(other) is TensorProduct \
+            and self.left.same_presentation(other.left) \
+            and self.right.same_presentation(other.right)
+
+
 class Element:
-    """A sparse F_p linear combination of normal-form monomials."""
+    """A sparse F_p linear combination of normal-form monomials of ``alg``,
+    an ``Algebra`` or a ``TensorProduct``; arithmetic keeps the class."""
 
     __slots__ = ("alg", "terms")
 
@@ -374,16 +407,19 @@ class Element:
         self.terms = _mod_sum(alg.prime, pairs)
         return self
 
+    def _scalar(self, n):
+        return self._normal(self.alg, ((self.alg.unit_mono, n),))
+
     def _check_mate(self, other):
         if not self.alg.same_presentation(other.alg):
             raise ValueError("elements live over different presentations")
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = Element(self.alg, {self.alg.unit_mono: other})
+            other = self._scalar(other)
         self._check_mate(other)
-        return Element._normal(self.alg, itertools.chain(self.terms.items(),
-                                                         other.terms.items()))
+        return self._normal(self.alg, itertools.chain(self.terms.items(),
+                                                      other.terms.items()))
 
     __radd__ = __add__
 
@@ -391,17 +427,15 @@ class Element:
         return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Element(self.alg, {self.alg.unit_mono: other})
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Element._normal(self.alg, ((m, c * other)
-                                              for m, c in self.terms.items()))
+            return self._normal(self.alg, ((m, c * other)
+                                           for m, c in self.terms.items()))
         self._check_mate(other)
         mul = self.alg.mul_mono
-        return Element._normal(self.alg, (
+        return self._normal(self.alg, (
             (m, ca * cb * k) for ma, ca in self.terms.items()
             for mb, cb in other.terms.items()
             for k, m in (mul(ma, mb),) if m is not None))
@@ -411,14 +445,14 @@ class Element:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = self.alg.one()
+        result = self._scalar(1)
         for _ in range(n):
             result = result * self
         return result
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Element(self.alg, {self.alg.unit_mono: other})
+            other = self._scalar(other)
         return isinstance(other, Element) and self.alg.same_presentation(other.alg) \
             and self.terms == other.terms
 
@@ -446,72 +480,16 @@ class Element:
     __repr__ = __str__
 
 
-class TensorElement:
-    """A sparse element of A (x) B for two rewrite-form algebras A, B."""
+class TensorElement(Element):
+    """A sparse element of A (x) B: an ``Element`` over ``TensorProduct(A, B)``."""
 
-    __slots__ = ("left", "right", "terms")
+    __slots__ = ()
 
     def __init__(self, left, right, terms=()):
-        if left.prime != right.prime:
-            raise ValueError("tensor factors must share the prime")
-        p = left.prime
-        items = terms.items() if hasattr(terms, "items") else terms
-        self.left = left
-        self.right = right
-        self.terms = _mod_sum(p, (
-            ((ln, rn), c * kl * kr) for (lm, rm), c in items if c % p
-            for kl, ln in (left.normalize(lm),) if ln is not None
-            for kr, rn in (right.normalize(rm),) if rn is not None))
+        super().__init__(TensorProduct(left, right), terms)
 
-    @classmethod
-    def _normal(cls, left, right, pairs):
-        """A tensor from ((normal left, normal right), coeff) pairs, summed
-        mod p and not normalized again."""
-        self = cls.__new__(cls)
-        self.left = left
-        self.right = right
-        self.terms = _mod_sum(left.prime, pairs)
-        return self
-
-    def _check_mate(self, other):
-        if not (self.left.same_presentation(other.left)
-                and self.right.same_presentation(other.right)):
-            raise ValueError("tensor elements live over different presentations")
-
-    def __add__(self, other):
-        self._check_mate(other)
-        return TensorElement._normal(self.left, self.right, itertools.chain(
-            self.terms.items(), other.terms.items()))
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TensorElement._normal(self.left, self.right, (
-                (k, c * other) for k, c in self.terms.items()))
-        self._check_mate(other)
-        lmul, rmul = self.left.mul_mono, self.right.mul_mono
-        return TensorElement._normal(self.left, self.right, (
-            ((lm, rm), ca * cb * kl * kr)
-            for (la, ra), ca in self.terms.items()
-            for (lb, rb), cb in other.terms.items()
-            for kl, lm in (lmul(la, lb),) if lm is not None
-            for kr, rm in (rmul(ra, rb),) if rm is not None))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) \
-            and self.left.same_presentation(other.left) \
-            and self.right.same_presentation(other.right) \
-            and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    left = property(lambda self: self.alg.left)
+    right = property(lambda self: self.alg.right)
 
     def __str__(self):
         L, R = self.left, self.right

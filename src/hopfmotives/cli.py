@@ -122,12 +122,12 @@ def cmd_catalog(args):
         return _emit(args, payload, text)
     key = args.key
     obj = catalog.get(key)
-    if catalog.kind(key) == "bialgebra":
-        payload = bialgebra_to_dict(obj)
-        text = _bialgebra_lines(obj, head=[f"key: {key}", "kind: bialgebra"])
-    else:
+    if hasattr(obj, "coaction_vec"):
         payload = comodule_to_dict(obj)
         text = _comodule_lines(obj, head=[f"key: {key}", "kind: comodule"])
+    else:
+        payload = bialgebra_to_dict(obj)
+        text = _bialgebra_lines(obj, head=[f"key: {key}", "kind: bialgebra"])
     return _emit(args, payload, text)
 
 

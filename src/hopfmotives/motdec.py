@@ -32,8 +32,7 @@ from collections import Counter
 
 from . import _linalg
 from .algebra import Element
-from .comod import (BasisComodule, label_str, restrict_comodule,
-                    tensor_comodule)
+from .comod import BasisComodule, label_str, restrict_comodule
 from .jinv import validate_jtuple
 
 
@@ -221,21 +220,18 @@ def rank1_isomorphic(L1, L2):
 
 
 def line_tensor_table(H):
-    """table[i][j] = k with L_i (x) L_j isomorphic to L_k."""
-    classes = line_classes(H)
-    gs = [rank1_grouplike(L) for L in classes]
-    lookup = {}
-    for k, g in enumerate(gs):
-        lookup[frozenset(g.terms.items())] = k
+    """table[i][j] = k with L_i (x) L_j isomorphic to L_k: the coaction of
+    L_i (x) L_j is g_i g_j (x) b, so k is the index of g_i g_j."""
+    gs = H.find_grouplikes()
+    index = {g: k for k, g in enumerate(gs)}
     table = []
-    for i, Li in enumerate(classes):
+    for gi in gs:
         row = []
-        for j, Lj in enumerate(classes):
-            g = rank1_grouplike(tensor_comodule(Li, Lj))
-            key = frozenset(g.terms.items())
-            if key not in lookup:
+        for gj in gs:
+            k = index.get(gi * gj)
+            if k is None:
                 raise ValueError("tensor product left the classified set; "
                                  "the group-likes are not closed under product")
-            row.append(lookup[key])
+            row.append(k)
         table.append(row)
     return table

@@ -318,6 +318,24 @@ def test_element_and_tensor_rendering():
     assert str(TensorElement(B, B, {(B.unit_mono, B.unit_mono): 2})) == "2*1⊗1"
 
 
+def test_tensors_are_elements_over_a_tensor_product():
+    """Tensor arithmetic keeps the class and its rendering; mixing a tensor
+    with a plain element is refused as different presentations."""
+    E = catalog.get("e8.mod3")
+    x = E.gen(E.generators[0].name)
+    for mixed in (lambda: E.coproduct(x) + x, lambda: E.coproduct(x) * x,
+                  lambda: x + E.coproduct(x)):
+        with pytest.raises(ValueError, match="elements live over different presentations"):
+            mixed()
+    B = catalog.get("e8.mod2")
+    assert str(B.coproduct(B.gen("e_15"))) == \
+        "1⊗e_15 + e_3⊗e_3^4 + e_5⊗e_5^2 + e_9⊗e_3^2 + e_15⊗1"
+    K = catalog.get("k0.pgl3")
+    t = K.coproduct(K.gen("x"))
+    assert type(t * t) is type(t + t) is type(-t) is TensorElement
+    assert str(t * t) == "1⊗x^2 + 2*x⊗x + x⊗x^2 + x^2⊗1 + x^2⊗x + x^2⊗x^2"
+
+
 # ---------------------------------------------------------------------------
 # coproducts and antipodes
 # ---------------------------------------------------------------------------

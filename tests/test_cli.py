@@ -119,6 +119,28 @@ def test_catalog_show_prints_rule_coefficients(tmp_path, monkeypatch, capsys):
     assert "rule: x^2 -> 2*z\nrule: x*z -> 0\n" in out
 
 
+@pytest.mark.parametrize("kind", ["bialgebra", "comodule"])
+def test_catalog_show_reads_an_override_file_once(kind, tmp_path, monkeypatch, capsys):
+    """A cold ``catalog show`` reads the key's file once, a warm one not at
+    all: the kind is taken from the loaded object."""
+    H = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3),))
+    obj = H if kind == "bialgebra" else \
+        BasisComodule(H, ["b"], {"b": 0}, {"b": [(1, (0,), "b")]})
+    data = bialgebra_to_dict(obj) if kind == "bialgebra" else comodule_to_dict(obj)
+    (tmp_path / "read.once.json").write_text(json.dumps(data))
+    monkeypatch.setenv(catalog.ENV_DIR, str(tmp_path))
+    reads = []
+    read_json = catalog.read_json
+    monkeypatch.setattr(catalog, "read_json",
+                        lambda path: reads.append(path) or read_json(path))
+    for expected in (1, 0):
+        reads.clear()
+        code, out, err = run(capsys, "catalog", "show", "read.once")
+        assert (code, err) == (0, "")
+        assert f"kind: {kind}\n" in out
+        assert len(reads) == expected
+
+
 def test_coinv_prints_int_labels_with_coefficients(tmp_path, monkeypatch, capsys):
     """Over the primitive F_3[x]/(x^3), rho(0) = 1 (x) 0 + x (x) 2 and
     rho(1) = 1 (x) 1 + x (x) 2 leave 0 + 2*1 coinvariant; label 1 is never a

@@ -9,7 +9,7 @@ import pytest
 
 from hopfmotives import catalog
 from hopfmotives.algebra import Algebra
-from hopfmotives.comod import quadric_comodule
+from hopfmotives.comod import quadric_comodule, tensor_comodule
 from hopfmotives.jinv import (PoincarePoly, borel_exponents, fpoin,
                               is_bi_ideal, jset_to_tuple, so_borel,
                               tuple_to_jset, valid_jtuples)
@@ -167,6 +167,21 @@ def test_line_tensor_table_pgl5_is_cyclic():
     for i in range(5):
         for j in range(5):
             assert table[i][j] == (i + j) % 5
+
+
+def oracle_line_tensor_table(H):
+    """The class of L_i (x) L_j read off the tensor comodule itself."""
+    classes = line_classes(H)
+    gs = [rank1_grouplike(L) for L in classes]
+    return [[gs.index(rank1_grouplike(tensor_comodule(Li, Lj))) for Lj in classes]
+            for Li in classes]
+
+
+@pytest.mark.parametrize("key", [k for k in catalog.keys()
+                                 if catalog.kind(k) == "bialgebra"])
+def test_line_tensor_table_matches_the_tensor_comodules(key):
+    H = catalog.get(key)
+    assert line_tensor_table(H) == oracle_line_tensor_table(H)
 
 
 def test_rank1_isomorphism():
