@@ -372,6 +372,10 @@ class TensorProduct:
         kr, rn = self.right.normalize(mono[1])
         return (0, None) if ln is None or rn is None else (kl * kr, (ln, rn))
 
+    def degree_of(self, mono):
+        """Total degree of a (left, right) pair."""
+        return self.left.degree_of(mono[0]) + self.right.degree_of(mono[1])
+
     def mul_mono(self, a, b):
         kl, lm = self.left.mul_mono(a[0], b[0])
         if lm is None:
@@ -527,6 +531,7 @@ class Bialgebra(Algebra):
             self._cop_images.append(t)
         unit = self.unit_mono
         self._cop_cache = {unit: TensorElement(self, self, {(unit, unit): 1})}
+        self._dual = None  # dual.DualAlgebra(self), built on first use
         self._antipode_images = None
         self._antipode_cache = {unit: self.one()}
         self._pik_cache = {}

@@ -32,9 +32,20 @@ least the block's dimension.  Both run on ``TableAlgebra``, an algebra
 given by its structure constants: ``table[i][j]`` is the nonzero product
 b_i b_j, and it and every element are sparse {k: c} dicts, the row format
 of ``_linalg``.  Only ``Block.idempotent`` is a dense coordinate tuple.
+
+What a call can already know is not computed again.  The dual table is
+built once per presentation and kept on the bialgebra, as its coproducts
+are; each call still finds its own centre, idempotents and characters.  A
+``TableAlgebra`` scans its commutators once, for both ``_centre`` and
+``_abelianization``.  A commutative A is its own abelianization, so its
+table is not copied.  The last block's dimension is dim D less the others':
+the idempotents are already checked to split the unit into orthogonal
+parts.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from . import _linalg
 from .algebra import _mod_sum
@@ -53,6 +64,21 @@ class TableAlgebra:
 
     def __init__(self, p, dim, unit, table):
         self.p, self.dim, self.unit, self.table = p, dim, unit, table
+
+    @cached_property
+    def commutators(self):
+        """{(i, j): [b_i, b_j]} over the pairs i < j whose commutator is
+        nonzero; empty exactly when the algebra is commutative."""
+        p, table = self.p, self.table
+        out = {}
+        for i, row in enumerate(table):
+            for j, ij in row.items():
+                ji = table[j].get(i)
+                if i < j and ij != ji:
+                    out[i, j] = _sum(p, (1, ij), (-1, ji or {}))
+                elif j < i and ji is None:
+                    out[j, i] = _sum(p, (-1, ij))
+        return out
 
     def multiply(self, u, v):
         p, table = self.p, self.table
@@ -103,26 +129,12 @@ def _relations(vectors, p):
     return _linalg.kernel_basis(list(rows.values()), len(vectors), p)
 
 
-def _commutators(A):
-    """{(i, j): [b_i, b_j]} over the pairs i < j whose commutator is nonzero;
-    empty exactly when A is commutative."""
-    p, table = A.p, A.table
-    out = {}
-    for i, row in enumerate(table):
-        for j, ij in row.items():
-            ji = table[j].get(i)
-            if i < j and ij != ji:
-                out[i, j] = _sum(p, (1, ij), (-1, ji or {}))
-            elif j < i and ji is None:
-                out[j, i] = _sum(p, (-1, ij))
-    return out
-
-
 class DualAlgebra(TableAlgebra):
     """H^dual with the convolution product, in the dual monomial basis: the
     b_k coefficient of f_i f_j is that of m_i (x) m_j in Delta(m_k).  For a
     J-quotient of P (``B.section = (P, lift)``), H^dual = I^perp: Delta(m_k)
-    is P's memoized Delta(lift m_k) less its terms with a factor in I."""
+    is P's memoized Delta(lift m_k) less its terms with a factor in I.
+    ``_dual_algebra`` keeps one per bialgebra object."""
 
     def __init__(self, B):
         self.B = B
@@ -133,13 +145,22 @@ class DualAlgebra(TableAlgebra):
         table = [{} for _ in self.basis]
         for m, k in lifted.items():
             for (lm, rm), c in P.coproduct_mono(m).terms.items():
-                if lm in lifted and rm in lifted:
-                    table[lifted[lm]].setdefault(lifted[rm], {})[k] = c
+                i, j = lifted.get(lm), lifted.get(rm)
+                if i is not None and j is not None:
+                    table[i].setdefault(j, {})[k] = c
         super().__init__(B.prime, len(table),
                          self.dual_basis_vector(B.unit_mono), table)
 
     def dual_basis_vector(self, mono):
         return {self.index[tuple(mono)]: 1}
+
+
+def _dual_algebra(B):
+    """B's dual algebra, built on first use and kept on B beside its
+    coproduct and product tables: B's coproducts never change."""
+    if B._dual is None:
+        B._dual = DualAlgebra(B)
+    return B._dual
 
 
 def _generators(A):
@@ -170,16 +191,17 @@ def _abelianization(A):
     A character of A kills I.  This left ideal is two-sided, because
     [a, b] c = [a, bc] - b [a, c], so I is the span of the commutators
     closed under left multiplication by a generating set G of A
-    (``_generators``), which takes about dim |G| + dim I |G| products; for
-    a commutative A, I is 0 and no generators are sought.  C's basis is the
-    non-pivot columns of I's echelon; its table is A's on non-pivot pairs,
-    each product projected mod I.
+    (``_generators``), which takes about dim |G| + dim I |G| products.  C's
+    basis is the non-pivot columns of I's echelon; its table is A's on
+    non-pivot pairs, each product projected mod I.  A commutative A has
+    I = 0, so C is A itself and each b_k maps to itself.
     """
     p, dim = A.p, A.dim
+    if not A.commutators:
+        return A, [{k: 1} for k in range(dim)]
     ideal = _linalg.Echelon(dim, p)
-    commutators = _linalg.rref(list(_commutators(A).values()), dim, p)[0]
-    if commutators:
-        ideal.add_closure(commutators, _generators(A), A.multiply)
+    ideal.add_closure(_linalg.rref(list(A.commutators.values()), dim, p)[0],
+                      _generators(A), A.multiply)
     pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in ideal.rows)}
     proj = [{pos[k]: 1} if k in pos else {} for k in range(dim)]
     for k, row in ideal.rows.items():
@@ -199,7 +221,7 @@ def _abelianization(A):
 def dual_presentation(B):
     """Present H^dual as F_p[y]/(minimal polynomial) when some dual-basis
     functional generates it; returns the ascending monic coefficient list."""
-    D = DualAlgebra(B)
+    D = _dual_algebra(B)
     for m in D.basis:
         mu = D.minimal_polynomial(D.dual_basis_vector(m))
         if len(mu) - 1 == D.dim:
@@ -229,7 +251,7 @@ def _centre(A):
     none, and Z is the whole of A.
     """
     rows = {}  # (j, k) -> {i: [b_i, b_j]_k}
-    for (i, j), w in _commutators(A).items():
+    for (i, j), w in A.commutators.items():
         for k, c in w.items():
             rows.setdefault((j, k), {})[i] = c
             rows.setdefault((i, k), {})[j] = -c
@@ -286,7 +308,7 @@ def grouplikes(B):
     """The group-likes of H, sorted by their terms: one per block of the
     abelianization C of H^dual with residue field F_p, its character pulled
     back to H^dual (see the module docstring)."""
-    D = DualAlgebra(B)
+    D = _dual_algebra(B)
     C, proj = _abelianization(D)
     out = []
     for e in _block_idempotents(C):
@@ -303,10 +325,16 @@ def grouplikes(B):
 
 
 def _label_blocks(D, idempotents):
-    """Sort blocks and name them: Tate first, then by (dim, group-like)."""
+    """Sort blocks and name them: Tate first, then by (dim, group-like).
+
+    ``_sanity_check`` has shown the e_i orthogonal idempotents summing to 1,
+    so D is the direct sum of the D e_i, and the last block's dimension is
+    D.dim less the others'.
+    """
+    dims = [_block_dim(D, e) for e in idempotents[:-1]]
+    dims.append(D.dim - sum(dims))
     blocks = []
-    for e in idempotents:
-        dim = _block_dim(D, e)
+    for e, dim in zip(idempotents, dims):
         if e.get(D.index[D.B.unit_mono]) == 1:
             label = "tate"
         elif dim == 1:
@@ -326,7 +354,7 @@ def decompose(B):
     the Tate block first.  A one-dimensional block other than the Tate block
     is labelled by the group-like its character evaluates at.
     """
-    D = DualAlgebra(B)
+    D = _dual_algebra(B)
     return _label_blocks(D, _block_idempotents(D))
 
 

@@ -336,6 +336,16 @@ def test_tensors_are_elements_over_a_tensor_product():
     assert str(t * t) == "1⊗x^2 + 2*x⊗x + x⊗x^2 + x^2⊗1 + x^2⊗x + x^2⊗x^2"
 
 
+def test_a_tensor_has_the_total_degree():
+    B = catalog.get("e8.mod2")
+    assert B.coproduct(B.gen("e_15")).degree() == 15
+    K = catalog.get("k0.pgl3")
+    t = K.coproduct(K.gen("x"))
+    assert t.degrees() == [1, 2]
+    with pytest.raises(ValueError, match="not homogeneous"):
+        t.degree()
+
+
 # ---------------------------------------------------------------------------
 # coproducts and antipodes
 # ---------------------------------------------------------------------------

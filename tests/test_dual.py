@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from _borel import borel_bialgebras, borel_catalog_keys
-from hopfmotives import catalog
+from hopfmotives import catalog, dual
 from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
                                  TensorElement)
 from hopfmotives._linalg import Echelon, kernel_basis, rref
 from hopfmotives.dual import (DualAlgebra, TableAlgebra, _abelianization,
-                              _centre, _commutators, _generators, _sum,
-                              decompose, dual_presentation, tate_block)
+                              _block_idempotents, _centre, _character,
+                              _generators, _sum, decompose, dual_presentation,
+                              grouplikes, tate_block)
 from hopfmotives.jinv import (borel_exponents, is_bi_ideal, quotient_bialgebra,
                               quotient_with_map, valid_jtuples)
 
@@ -328,7 +329,7 @@ def abelianization_by_all_basis(A):
     with no generating set involved."""
     p, dim = A.p, A.dim
     ideal = Echelon(dim, p)
-    for v in rref(list(_commutators(A).values()), dim, p)[0]:
+    for v in rref(list(A.commutators.values()), dim, p)[0]:
         for m in range(dim):
             ideal.add(A.multiply({m: 1}, v))
     pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in ideal.rows)}
@@ -351,7 +352,7 @@ def noncommutative_e8_mod2_quotient_duals():
     B = catalog.get("e8.mod2")
     duals = [DualAlgebra(quotient_bialgebra(B, J)) for J in valid_jtuples(B)
              if is_bi_ideal(B, J)[0]]
-    return [D for D in duals if _commutators(D)]
+    return [D for D in duals if D.commutators]
 
 
 def test_abelianization_matches_the_all_basis_ideal():
@@ -621,7 +622,7 @@ def test_centre_of_s3_is_spanned_by_the_class_sums(p):
     """A noncommutative algebra at p > 2, where a sign error in the
     commutator rows would change the kernel."""
     A, classes = s3_group_algebra(p)
-    assert len(_commutators(A)) > 0
+    assert len(A.commutators) > 0
     centre = _centre(A)
     assert len(centre) == 3
     assert rref(centre, A.dim, p) == rref(classes, A.dim, p)
@@ -630,7 +631,7 @@ def test_centre_of_s3_is_spanned_by_the_class_sums(p):
 @pytest.mark.parametrize("key", ["so11.mod2", "so13.mod2"])
 def test_commutative_duals_have_no_commutators(key):
     D = DualAlgebra(catalog.get(key))
-    assert _commutators(D) == {}
+    assert D.commutators == {}
     assert len(_centre(D)) == D.dim
 
 
@@ -669,3 +670,93 @@ def test_line_block_labels_are_listed_grouplikes(key):
         if b.dim == 1 and b.label != "tate":
             g = listed[b.label.removeprefix("g:")]
             assert B.coproduct(g) == square(g)
+
+
+# -- one dual per bialgebra object --------------------------------------------------
+
+def catalog_and_e8_mod2_quotients():
+    """The 29 catalog bialgebras and the 34 bi-ideal J-quotients of e8.mod2."""
+    E = catalog.get("e8.mod2")
+    out = [catalog.get(k) for k in BIALGEBRA_KEYS] + \
+        [quotient_bialgebra(E, J) for J in valid_jtuples(E) if is_bi_ideal(E, J)[0]]
+    assert len(out) == 29 + 34
+    return out
+
+
+def block_record(blocks):
+    return [(b.dim, b.label, b.idempotent) for b in blocks]
+
+
+def test_every_block_dimension_is_the_rank_of_its_idempotent(monkeypatch):
+    """decompose ranks every idempotent but the last, whose dimension is the
+    rest of D's; each dimension, the last included, is the rank of
+    f -> e f computed here."""
+    block_dim = dual._block_dim
+    ranked = []
+    monkeypatch.setattr(dual, "_block_dim",
+                        lambda A, e: ranked.append(1) or block_dim(A, e))
+    for B in catalog_and_e8_mod2_quotients():
+        ranked.clear()
+        blocks = decompose(B)
+        assert len(ranked) == len(blocks) - 1
+        D = DualAlgebra(B)
+        assert [b.dim for b in blocks] == \
+            [block_dim(D, sparse(b.idempotent)) for b in blocks]
+
+
+def grouplikes_through_a_copy(B):
+    """The group-likes as found when a commutative dual's abelianization was
+    a copy of its table: the characters of the blocks of that copy, pulled
+    back through the identity."""
+    D = DualAlgebra(B)
+    C = TableAlgebra(D.p, D.dim, dict(D.unit),
+                     [{j: dict(w) for j, w in row.items()} for row in D.table])
+    chars = (_character(C, e, C.dim) for e in _block_idempotents(C))
+    return sorted((B.element(dict(zip(D.basis, chi)))
+                   for chi in chars if chi is not None),
+                  key=lambda g: sorted(g.terms.items()))
+
+
+@pytest.mark.parametrize("key", ["e8.mod3", "so7.mod2", "k0.pgl3"])
+def test_a_commutative_dual_is_its_own_abelianization(key):
+    B = catalog.get(key)
+    A = DualAlgebra(B)
+    C, proj = _abelianization(A)
+    assert C is A
+    assert proj == [{k: 1} for k in range(A.dim)]
+    assert [g.terms for g in grouplikes(B)] == \
+        [g.terms for g in grouplikes_through_a_copy(B)]
+
+
+@pytest.mark.parametrize("key", ["k0.pgl5", "e8.mod3", "e8.mod2"])
+def test_a_second_call_builds_no_dual(monkeypatch, key):
+    """Once B's dual is built, decompose and grouplikes construct no
+    DualAlgebra and ask B for no coproduct, but for grouplikes' check that
+    each character it returns is group-like: one Delta per term."""
+    B = catalog.get(key)
+    blocks, gs = decompose(B), grouplikes(B)
+    built, asked = [], []
+    init, coproduct_mono = DualAlgebra.__init__, B.coproduct_mono
+    monkeypatch.setattr(DualAlgebra, "__init__",
+                        lambda self, B: built.append(1) or init(self, B))
+    monkeypatch.setattr(B, "coproduct_mono",
+                        lambda m: asked.append(m) or coproduct_mono(m))
+    assert block_record(decompose(B)) == block_record(blocks)
+    assert (built, asked) == ([], [])
+    assert [g.terms for g in grouplikes(B)] == [g.terms for g in gs]
+    assert built == []
+    assert sorted(asked) == sorted(m for g in gs for m in g.terms)
+
+
+def test_a_kept_dual_answers_as_a_fresh_one():
+    """decompose and grouplikes give the same blocks and group-likes whether
+    the call builds B's dual or reads the one an earlier call kept."""
+    for B in catalog_and_e8_mod2_quotients():
+        B._dual = None
+        blocks = block_record(decompose(B))
+        B._dual = None
+        gs = [g.terms for g in grouplikes(B)]
+        kept = B._dual
+        assert block_record(decompose(B)) == blocks
+        assert [g.terms for g in grouplikes(B)] == gs
+        assert B._dual is kept
