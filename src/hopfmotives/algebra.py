@@ -23,8 +23,11 @@ factor, and a ``TensorElement`` is an ``Element`` over the latter.
 ``_mod_sum`` is the one home of the sparse F_p term sum "accumulate
 {key: c}, reduce mod p, drop zeros" that element arithmetic, the law
 checks and ``dual`` share; only the hot kernels (``comod.tensor_comodule``,
-``comod.restrict_comodule``, ``dual.TableAlgebra.multiply`` and
-``_linalg.Echelon.add``) keep loops of their own.  ``_coassociative`` and
+``dual.TableAlgebra.multiply`` and ``_linalg.Echelon.add``) keep loops of
+their own.  A sum of many elements, such as the coproduct or antipode of an
+n-term element, the convolution powers behind the antipode, or a counit law,
+is one ``Element._normal`` pass over all their terms, not a running sum
+that is rebuilt once per term.  ``_coassociative`` and
 ``_check_rules`` are the one coassociativity test and the one rewrite-rule
 loop, for the coproduct (``verify_bialgebra``) and for coactions (``comod``).
 Each presentation keeps one product table: ``mul_mono(a, b)`` normalizes
@@ -542,10 +545,9 @@ class Bialgebra(Algebra):
 
     def coproduct(self, x):
         if isinstance(x, Element):
-            out = TensorElement(self, self, {})
-            for m, c in x.terms.items():
-                out = out + c * self.coproduct_mono(m)
-            return out
+            return TensorElement._normal(TensorProduct(self, self), (
+                (t, c * d) for m, c in x.terms.items()
+                for t, d in self.coproduct_mono(m).terms.items()))
         return self.coproduct_mono(x)
 
     def counit(self, x):
@@ -566,11 +568,15 @@ class Bialgebra(Algebra):
         if k == 0:
             result = self.one() if mono == self.unit_mono else self.zero()
         else:
-            result = self.zero()
+            # recurse here, not inside the sum's generator, so that each
+            # level of k costs one stack frame
+            parts = []
             for (lm, rm), c in self.coproduct_mono(mono).terms.items():
-                if rm == self.unit_mono:
-                    continue  # pi kills the unit factor
-                result = result + c * self._pik(k - 1, lm) * self.monomial(rm)
+                if rm != self.unit_mono:  # pi kills the unit factor
+                    parts.append((c, self._pik(k - 1, lm).terms, rm))
+            result = Element._normal(self, (
+                (m, c * d * e) for c, terms, rm in parts for a, d in terms.items()
+                for e, m in (self.mul_mono(a, rm),) if m is not None))
         self._pik_cache[key] = result
         return result
 
@@ -578,15 +584,14 @@ class Bialgebra(Algebra):
         """The antipode, extended multiplicatively from its generator values
         S(g) = sum_k (-1)^k pi^{*k}(g)."""
         if self._antipode_images is None:
-            self._antipode_images = [
-                sum(((-1) ** k * self._pik(k, gen_mono(self.ngens, i))
-                     for k in range(self.top_degree() + 1)), self.zero())
+            self._antipode_images = [Element._normal(self, (
+                (m, (-1) ** k * c) for k in range(self.top_degree() + 1)
+                for m, c in self._pik(k, gen_mono(self.ngens, i)).terms.items()))
                 for i in range(self.ngens)]
-        out = self.zero()
-        for m, c in x.terms.items():
-            out = out + c * extend_multiplicatively(
-                self._antipode_cache, self._antipode_images, m)
-        return out
+        return Element._normal(self, (
+            (t, c * d) for m, c in x.terms.items()
+            for t, d in extend_multiplicatively(
+                self._antipode_cache, self._antipode_images, m).terms.items()))
 
     # -- verification ------------------------------------------------------
 
@@ -653,8 +658,8 @@ def verify_bialgebra(B):
         gx = B.gen(g.name)
         cop = B.coproduct(gx)
         for side, law in ((1, "eps⊗id"), (0, "id⊗eps")):
-            got = sum((c * B.monomial(t[side]) for t, c in cop.terms.items()
-                       if t[1 - side] == unit), B.zero())
+            got = Element._normal(B, ((t[side], c) for t, c in cop.terms.items()
+                                      if t[1 - side] == unit))
             if got != gx:
                 report.fail(f"counit law fails on {g.name}: ({law})Δ = {got}")
         reduced = cop - TensorElement(B, B, {(m, unit): c for m, c in gx.terms.items()}) \

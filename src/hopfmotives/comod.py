@@ -27,6 +27,11 @@ pair), built when the key is first met.  It and
 comodule without a second normalization; a restriction keeps the
 ``position`` of the comodule it restricts.
 
+A J-quotient is read through the one map ``jinv.quotient_with_map`` returns:
+``remap`` is None exactly on the ideal and otherwise gives the quotient's
+normal monomial.  ``restrict_comodule`` remaps each H-monomial once and
+normalizes nothing; ``quadric_comodule`` remaps its m classes e_i once.
+
 Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one sparse row per
 coaction term of rho(b) - 1 (x) b, built with no zero entry and found by one
 ``_linalg`` elimination, either globally or one degree at a time (reading
@@ -54,7 +59,7 @@ from .algebra import (Algebra, SchemaError, TensorElement, _check_keys,
                       extend_multiplicatively, gen_mono,
                       mono_from_json, mono_to_json, presentation_to_dict,
                       tensor_terms_from_json)
-from .jinv import quotient_bialgebra, quotient_with_map, so_borel
+from .jinv import quotient_with_map, so_borel
 
 
 def _label_key(label):
@@ -347,25 +352,20 @@ def restrict_comodule(M, J):
     """The same underlying space with the coaction pushed through the quotient
     of M.H by a J-tuple (coaction terms hitting the bi-ideal drop out).
 
+    Each H-monomial is remapped once; the remap is injective off the ideal,
+    so the surviving terms keep their coefficients and no two of them meet.
     The labels, degrees and ``position`` are M's; the degrees are read off
     M's ``by_degree``, built once per comodule."""
     Hq, remap = quotient_with_map(M.H, J)
-    p = Hq.prime
-    images = {}  # H-monomial -> (coeff, normal monomial of Hq or None)
+    images = {}  # H-monomial -> its monomial in Hq, or None in the ideal
     table = {}
     for lab in M.labels:
-        acc = {}
+        vec = table[lab] = {}
         for (hm, lab2), c in M.coaction_vec(lab).items():
-            image = images.get(hm)
-            if image is None:
-                h2 = remap(hm)
-                image = images[hm] = (0, None) if h2 is None else Hq.normalize(h2)
-            k, nf = image
-            if nf is None:
-                continue
-            key = (nf, lab2)
-            acc[key] = acc.get(key, 0) + c * k
-        table[lab] = {key: c % p for key, c in acc.items() if c % p}
+            if hm not in images:
+                images[hm] = remap(hm)
+            if images[hm] is not None:
+                vec[images[hm], lab2] = c
     degrees = {lab: d for d, labs in M.by_degree.items() for lab in labs}
     Mq = BasisComodule._normal(Hq, M.labels, degrees, table)
     Mq.position = M.position
@@ -375,25 +375,14 @@ def restrict_comodule(M, J):
 # -- quadric cell comodules ----------------------------------------------------
 
 
-def _ebar(H, i):
-    """The image of e_i in a quotient of the Borel form of SO_n, or None."""
-    d, l = i, 0
-    while d % 2 == 0:
-        d //= 2
-        l += 1
-    try:
-        idx = H.index(f"e_{d}")
-    except ValueError:
-        return None
-    if 2 ** l >= H.generators[idx].truncation:
-        return None
-    return gen_mono(H.ngens, idx, 2 ** l)
-
-
 def quadric_comodule(n, jtuple):
     """The cell comodule of a quadric of dimension n-2 with the given J-tuple."""
-    H = quotient_bialgebra(so_borel(n), jtuple)
+    B = so_borel(n)
+    H, remap = quotient_with_map(B, jtuple)
     m = (n - 1) // 2
+    # e_i = e_d^(2^l) for i = 2^l d, d odd, and e_d is generator (d-1)//2 of B
+    ebar = {i: remap(gen_mono(B.ngens, (i // (i & -i) - 1) // 2, i & -i))
+            for i in range(1, m + 1)}
     even = n % 2 == 0
     primed = f"{m}'"
     labels = list(range(0, n - 1))
@@ -409,13 +398,10 @@ def quadric_comodule(n, jtuple):
         k = lab - m
         terms = [(1, unit, lab)]
         for i in range(k + 1, m + 1):
-            hm = _ebar(H, i)
-            if hm is not None:
-                terms.append((1, hm, m + k - i))
-        if even and k >= 1:
-            hm = _ebar(H, k)
-            if hm is not None:
-                terms.append((1, hm, primed))
+            if ebar[i] is not None:
+                terms.append((1, ebar[i], m + k - i))
+        if even and k >= 1 and ebar[k] is not None:
+            terms.append((1, ebar[k], primed))
         coaction[lab] = terms
     return BasisComodule(H, labels, degrees, coaction)
 

@@ -216,12 +216,14 @@ def is_bi_ideal(B, J):
 def quotient_with_map(B, J):
     """(quotient bialgebra, monomial remap) for the bi-ideal of a J-tuple.
 
-    The remap sends an exponent tuple of B to its image exponent tuple in the
-    quotient, or None when the monomial dies (a deleted generator appears;
-    exponents at or above the new truncation are left to the quotient's own
-    normalization).  The quotient records ``section = (P, lift)``: P is B or,
-    if B is a quotient, B's P, and ``lift`` the section of P -> quotient that
-    puts zeros back at the deleted generators, read by ``dual.DualAlgebra``.
+    The remap is exact: it sends an exponent tuple of B to None exactly when
+    the monomial lies in the ideal (some e_i^(p^(j_i)) divides it, a deleted
+    generator being one with bound p^0 = 1), and otherwise to its normal
+    monomial in the quotient, so it is injective off the ideal.  The
+    quotient's coproduct table is filtered through it.  The quotient records
+    ``section = (P, lift)``: P is B or, if B is a quotient, B's P, and
+    ``lift`` the section of P -> quotient that puts zeros back at the deleted
+    generators, read by ``dual.DualAlgebra``.
     """
     J = validate_jtuple(B, J)
     witness = _bi_ideal_witness(B, J)
@@ -231,15 +233,14 @@ def quotient_with_map(B, J):
             f"J-tuple {J} does not cut out a bi-ideal: coproduct of "
             f"{B.monomial_str(m)} has the term "
             f"{B.monomial_str(lm)}⊗{B.monomial_str(rm)} outside B⊗J + J⊗B")
-    keep = [i for i, j in enumerate(J) if j > 0]
+    bounds = [B.prime ** j for j in J]
+    keep = [i for i, b in enumerate(bounds) if b > 1]
     pos = {i: s for s, i in enumerate(keep)}
     new_gens = tuple(GeneratorDecl(B.generators[i].name, B.generators[i].degree,
-                                   B.prime ** J[i]) for i in keep)
+                                   bounds[i]) for i in keep)
 
     def remap(mono):
-        if any(e for i, e in enumerate(mono) if e and i not in pos):
-            return None
-        return tuple(mono[i] for i in keep)
+        return None if _in_ideal(bounds, mono) else tuple(mono[i] for i in keep)
 
     cops = {}
     for i in keep:

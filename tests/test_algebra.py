@@ -12,10 +12,11 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopfmotives import _linalg, catalog
+from _borel import borel_bialgebras
+from hopfmotives import _linalg, algebra, catalog
 from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  RewriteRule, SchemaError, TensorElement,
                                  VerifyReport, bialgebra_from_dict,
@@ -350,6 +351,9 @@ def test_a_tensor_has_the_total_degree():
 # coproducts and antipodes
 # ---------------------------------------------------------------------------
 
+BIALGEBRA_KEYS = [k for k in catalog.keys() if catalog.kind(k) == "bialgebra"]
+
+
 def brute_force_antipode(B):
     """Solve m(S (x) id)Delta = unit.counit on the basis directly, as one
     sparse linear system over GF(p); independent of the Takeuchi series."""
@@ -393,16 +397,54 @@ def test_antipode_matches_dense_solve(key):
         assert got.terms == table[mono], mono
 
 
-def test_antipode_convolution_identity_on_products():
-    B = catalog.get("e8.mod3")
+def assert_antipode_identity(B):
+    """mu(S (x) id)Delta = unit.counit = mu(id (x) S)Delta on every basis
+    monomial of B, with S read off ``B.antipode`` monomial by monomial."""
+    S = {m: B.antipode(B.monomial(m)) for m in B.basis()}
     for mono in B.basis():
-        x = B.monomial(mono)
-        cop = B.coproduct(x)
-        acc = B.zero()
-        for (l, r), c in cop.terms.items():
-            acc = acc + c * (B.antipode(B.monomial(l)) * B.monomial(r))
-        want = B.counit(x) * B.one()
-        assert acc == want, mono
+        left = right = B.zero()
+        for (l, r), c in B.coproduct_mono(mono).terms.items():
+            left = left + c * S[l] * B.monomial(r)
+            right = right + c * B.monomial(l) * S[r]
+        want = B.counit(mono) * B.one()
+        assert left == want, ("S (x) id", mono)
+        assert right == want, ("id (x) S", mono)
+
+
+def test_antipode_convolution_identity_on_products():
+    for key in BIALGEBRA_KEYS:
+        assert_antipode_identity(catalog.get(key))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(borel_bialgebras())
+def test_antipode_convolution_identity_on_random_bialgebras(B):
+    """Most draws break coassociativity or the counit law; only the draws
+    that verify are bialgebras with an antipode."""
+    assume(verify_bialgebra(B))
+    assert_antipode_identity(B)
+
+
+def test_coproduct_and_antipode_sum_in_one_pass(monkeypatch):
+    """With warm memos, Delta and S of an n-term element each make one
+    ``_mod_sum`` call (a running sum makes 2n+1) and equal running sums."""
+    B = catalog.get("e8.mod2")
+    x = B.element({m: 1 for m in B.basis()})
+    assert len(x.terms) == 128
+    cop, S = TensorElement(B, B, {}), B.zero()
+    for m, c in x.terms.items():  # the oracles, which also warm the memos
+        cop = cop + c * B.coproduct_mono(m)
+        S = S + c * B.antipode(B.monomial(m))
+    calls = []
+    real = algebra._mod_sum
+    monkeypatch.setattr(algebra, "_mod_sum",
+                        lambda p, pairs: calls.append(p) or real(p, pairs))
+    for f, want in ((B.coproduct, cop), (B.antipode, S)):
+        calls.clear()
+        got = f(x)
+        assert len(calls) == 1, f
+        assert got == want, f
 
 
 @settings(max_examples=25)
@@ -426,9 +468,6 @@ def test_antipode_is_linear_on_random_elements(seed):
 # ---------------------------------------------------------------------------
 # multiplicative extension against repeated multiplication
 # ---------------------------------------------------------------------------
-
-BIALGEBRA_KEYS = [k for k in catalog.keys() if catalog.kind(k) == "bialgebra"]
-
 
 def repeated_product(one, images, mono):
     """1 * g_1^e_1 * g_2^e_2 * ..., each power built as ((1 g) g) ... g: the
