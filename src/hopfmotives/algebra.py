@@ -131,6 +131,12 @@ def _mod_sum(p, pairs):
     return {key: c % p for key, c in acc.items() if c % p}
 
 
+def _check_mates(alg, other):
+    """Refuse to combine an element over ``other`` with the presentation ``alg``."""
+    if not alg.same_presentation(other):
+        raise ValueError("elements live over different presentations")
+
+
 def _fmt_mono(names, mono):
     parts = []
     for name, e in zip(names, mono):
@@ -417,14 +423,10 @@ class Element:
     def _scalar(self, n):
         return self._normal(self.alg, ((self.alg.unit_mono, n),))
 
-    def _check_mate(self, other):
-        if not self.alg.same_presentation(other.alg):
-            raise ValueError("elements live over different presentations")
-
     def __add__(self, other):
         if isinstance(other, int):
             other = self._scalar(other)
-        self._check_mate(other)
+        _check_mates(self.alg, other.alg)
         return self._normal(self.alg, itertools.chain(self.terms.items(),
                                                       other.terms.items()))
 
@@ -440,7 +442,7 @@ class Element:
         if isinstance(other, int):
             return self._normal(self.alg, ((m, c * other)
                                            for m, c in self.terms.items()))
-        self._check_mate(other)
+        _check_mates(self.alg, other.alg)
         mul = self.alg.mul_mono
         return self._normal(self.alg, (
             (m, ca * cb * k) for ma, ca in self.terms.items()
@@ -535,6 +537,7 @@ class Bialgebra(Algebra):
         unit = self.unit_mono
         self._cop_cache = {unit: TensorElement(self, self, {(unit, unit): 1})}
         self._dual = None  # dual.DualAlgebra(self), built on first use
+        self._quotients = {}  # J-tuple -> jinv.quotient_with_map(self, J)
         self._antipode_images = None
         self._antipode_cache = {unit: self.one()}
         self._pik_cache = {}
@@ -544,14 +547,15 @@ class Bialgebra(Algebra):
         return extend_multiplicatively(self._cop_cache, self._cop_images, mono)
 
     def coproduct(self, x):
-        if isinstance(x, Element):
-            return TensorElement._normal(TensorProduct(self, self), (
-                (t, c * d) for m, c in x.terms.items()
-                for t, d in self.coproduct_mono(m).terms.items()))
-        return self.coproduct_mono(x)
+        """Coproduct of an element; ``coproduct_mono`` takes exponent tuples."""
+        _check_mates(self, x.alg)
+        return TensorElement._normal(TensorProduct(self, self), (
+            (t, c * d) for m, c in x.terms.items()
+            for t, d in self.coproduct_mono(m).terms.items()))
 
     def counit(self, x):
         if isinstance(x, Element):
+            _check_mates(self, x.alg)
             return x.terms.get(self.unit_mono, 0)
         k, nf = self.normalize(x)
         return k if nf == self.unit_mono else 0
@@ -583,6 +587,7 @@ class Bialgebra(Algebra):
     def antipode(self, x):
         """The antipode, extended multiplicatively from its generator values
         S(g) = sum_k (-1)^k pi^{*k}(g)."""
+        _check_mates(self, x.alg)
         if self._antipode_images is None:
             self._antipode_images = [Element._normal(self, (
                 (m, (-1) ** k * c) for k in range(self.top_degree() + 1)

@@ -3,11 +3,11 @@
 H^dual carries the convolution product (f * g)(m) = (f (x) g)(Delta m); in
 the dual basis {f_m} of the monomial basis the structure constants are the
 coproduct coefficients of H, so everything here is exact linear algebra over
-F_p; the dual of a J-quotient H/I is the subalgebra I^perp of H^dual, read
-off H's own coproducts.  Evaluation at a group-like element of H is an
-algebra character, which is how blocks get their names: the unique block
-whose idempotent evaluates to 1 on 1_H is the Tate block, and every
-one-dimensional block is evaluation at some group-like.
+F_p.  Every bialgebra, a J-quotient included, gives its table one way: from
+its own coproducts of its basis monomials.  Evaluation at a group-like
+element of H is an algebra character, which is how blocks get their names:
+the unique block whose idempotent evaluates to 1 on 1_H is the Tate block,
+and every one-dimensional block is evaluation at some group-like.
 
 ``decompose`` finds the block (central primitive idempotent) decomposition
 by Berlekamp's fixed-space method applied to the centre (Friedl--Ronyai):
@@ -131,23 +131,18 @@ def _relations(vectors, p):
 
 class DualAlgebra(TableAlgebra):
     """H^dual with the convolution product, in the dual monomial basis: the
-    b_k coefficient of f_i f_j is that of m_i (x) m_j in Delta(m_k).  For a
-    J-quotient of P (``B.section = (P, lift)``), H^dual = I^perp: Delta(m_k)
-    is P's memoized Delta(lift m_k) less its terms with a factor in I.
-    ``_dual_algebra`` keeps one per bialgebra object."""
+    b_k coefficient of f_i f_j is that of m_i (x) m_j in Delta(m_k), read
+    off B's memoized ``coproduct_mono``.  ``_dual_algebra`` keeps one per
+    bialgebra object."""
 
     def __init__(self, B):
         self.B = B
         self.basis = B.basis()
         self.index = {m: i for i, m in enumerate(self.basis)}
-        P, lift = getattr(B, "section", (B, tuple))
-        lifted = {lift(m): k for k, m in enumerate(self.basis)}
-        table = [{} for _ in self.basis]
-        for m, k in lifted.items():
-            for (lm, rm), c in P.coproduct_mono(m).terms.items():
-                i, j = lifted.get(lm), lifted.get(rm)
-                if i is not None and j is not None:
-                    table[i].setdefault(j, {})[k] = c
+        index, table = self.index, [{} for _ in self.basis]
+        for k, m in enumerate(self.basis):
+            for (lm, rm), c in B.coproduct_mono(m).terms.items():
+                table[index[lm]].setdefault(index[rm], {})[k] = c
         super().__init__(B.prime, len(table),
                          self.dual_basis_vector(B.unit_mono), table)
 

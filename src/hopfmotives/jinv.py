@@ -220,12 +220,14 @@ def quotient_with_map(B, J):
     the monomial lies in the ideal (some e_i^(p^(j_i)) divides it, a deleted
     generator being one with bound p^0 = 1), and otherwise to its normal
     monomial in the quotient, so it is injective off the ideal.  The
-    quotient's coproduct table is filtered through it.  The quotient records
-    ``section = (P, lift)``: P is B or, if B is a quotient, B's P, and
-    ``lift`` the section of P -> quotient that puts zeros back at the deleted
-    generators, read by ``dual.DualAlgebra``.
+    quotient's coproduct table is filtered through it.  The pair is built
+    once and kept on B per J-tuple (``B._quotients``), so every caller works
+    on one quotient object, with its own coproduct and dual tables; a
+    J-tuple that does not cut out a bi-ideal raises on every call.
     """
     J = validate_jtuple(B, J)
+    if J in B._quotients:
+        return B._quotients[J]
     witness = _bi_ideal_witness(B, J)
     if witness is not None:
         m, (lm, rm) = witness
@@ -235,7 +237,6 @@ def quotient_with_map(B, J):
             f"{B.monomial_str(lm)}⊗{B.monomial_str(rm)} outside B⊗J + J⊗B")
     bounds = [B.prime ** j for j in J]
     keep = [i for i, b in enumerate(bounds) if b > 1]
-    pos = {i: s for s, i in enumerate(keep)}
     new_gens = tuple(GeneratorDecl(B.generators[i].name, B.generators[i].degree,
                                    bounds[i]) for i in keep)
 
@@ -251,11 +252,8 @@ def quotient_with_map(B, J):
             if l2 is not None and r2 is not None:
                 terms.append((c, l2, r2))
         cops[name] = terms
-    Q = Bialgebra(B.prime, new_gens, (), cops)
-    P, up = getattr(B, "section", (B, tuple))
-    Q.section = P, lambda m: up(tuple(m[pos[i]] if i in pos else 0
-                                      for i in range(B.ngens)))
-    return Q, remap
+    B._quotients[J] = Bialgebra(B.prime, new_gens, (), cops), remap
+    return B._quotients[J]
 
 
 def quotient_bialgebra(B, J):

@@ -23,6 +23,7 @@ from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  bialgebra_to_dict, borel_normalize,
                                  primitive_bialgebra, verify_bialgebra)
 from hopfmotives.comod import AlgebraComodule
+from hopfmotives.jinv import quotient_bialgebra
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +336,24 @@ def test_tensors_are_elements_over_a_tensor_product():
     t = K.coproduct(K.gen("x"))
     assert type(t * t) is type(t + t) is type(-t) is TensorElement
     assert str(t * t) == "1⊗x^2 + 2*x⊗x + x⊗x^2 + x^2⊗1 + x^2⊗x + x^2⊗x^2"
+
+
+def test_bialgebra_maps_refuse_elements_of_another_presentation():
+    """Delta, S and the counit take only elements of their own bialgebra,
+    as element arithmetic does; a quotient is another presentation."""
+    B = catalog.get("e8.mod3")
+    S = catalog.get("so5.mod2")
+    E = catalog.get("e8.mod2")
+    Q = quotient_bialgebra(E, (2, 2, 0, 1))
+    for foreign in (lambda: B.coproduct(S.gen("e_1")),
+                    lambda: B.antipode(S.gen("e_1")),
+                    lambda: B.counit(S.one()),
+                    lambda: B.is_grouplike(S.one()),
+                    lambda: E.coproduct(Q.gen("e_3")),
+                    lambda: Q.antipode(E.gen("e_9"))):
+        with pytest.raises(ValueError, match="elements live over different presentations"):
+            foreign()
+    assert B.counit(B.one()) == 1 and B.is_grouplike(B.one())
 
 
 def test_a_tensor_has_the_total_degree():

@@ -14,7 +14,8 @@ from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
                                tensor_comodule, verify_comodule)
 from hopfmotives.algebra import (Algebra, Bialgebra, GeneratorDecl,
                                  RewriteRule, SchemaError, TensorElement,
-                                 VerifyReport, bialgebra_to_dict, gen_mono,
+                                 VerifyReport, bialgebra_from_dict,
+                                 bialgebra_to_dict, gen_mono,
                                  primitive_bialgebra)
 from hopfmotives.jinv import (jset_to_tuple, quotient_with_map, so_borel,
                               valid_jtuples)
@@ -778,6 +779,84 @@ def test_comodule_schema_rejections():
     bad = dict(good, coaction=dict(good["coaction"], zz=[]))
     with pytest.raises(SchemaError):
         comodule_from_dict(bad)
+
+
+def refusal_documents():
+    """Well-formed documents for the readers: so7.mod2 (with a rule), the
+    basis comodule of the quadric n = 5, J = (1,), and a one-generator
+    algebra comodule rho(a) = 1 (x) a + e_1 (x) 1 over its F_2[e_1]/(e_1^2)."""
+    basis = comodule_to_dict(quadric_comodule(5, (1,)))
+    algebra = {"flavor": "algebra", "hopf": basis["hopf"],
+               "generators": [{"name": "a", "degree": 1, "truncation": 2}],
+               "coaction": {"a": [{"coeff": 1, "left": {}, "right": {"a": 1}},
+                                  {"coeff": 1, "left": {"e_1": 1}, "right": {}}]}}
+    return {"bialgebra": bialgebra_to_dict(catalog.get("so7.mod2")),
+            "basis": basis, "algebra": algebra}
+
+
+DROP = object()
+
+# (document, field path, new value or DROP, error path, error message)
+REFUSALS = [
+    ("bialgebra", ("prime",), DROP, "$.prime", "prime required"),
+    ("bialgebra", ("generators", 0), "e_1", "$.generators[0]",
+     "expected an object, got str"),
+    ("bialgebra", ("generators", 0, "name"), "", "$.generators[0].name",
+     "expected a nonempty string"),
+    ("bialgebra", ("rules",), {}, "$.rules", "expected an array"),
+    ("bialgebra", ("rules", 0, "source"), ["e_1", 2, 1], "$.rules[0].source",
+     'expected ["generator", exponent] or a monomial object'),
+    ("bialgebra", ("rules", 0, "target"), DROP, "$.rules[0].target",
+     "missing field"),
+    ("bialgebra", ("rules", 0, "target", "monomial"), ["e_2"],
+     "$.rules[0].target.monomial", "expected a monomial object, got ['e_2']"),
+    ("bialgebra", ("coproducts",), [], "$.coproducts", "expected an object"),
+    ("bialgebra", ("coproducts", "e_4"), [], "$.coproducts.e_4",
+     "unknown generator"),
+    ("bialgebra", ("coproducts", "e_1"), {}, "$.coproducts.e_1",
+     "expected an array of tensor terms"),
+    ("bialgebra", ("coproducts", "e_1", 0, "right"), DROP,
+     "$.coproducts.e_1[0].right", "missing field"),
+    ("bialgebra", ("coproducts", "e_1", 1, "left", "e_1"), 0,
+     "$.coproducts.e_1[1].left.e_1", "exponent must be a positive integer, got 0"),
+    ("algebra", ("hopf",), DROP, "$.hopf", "missing field"),
+    ("algebra", ("degrees",), [1], "$.degrees",
+     'unknown field for flavor "algebra"'),
+    ("algebra", ("generators", 0, "truncation"), 1, "$",
+     "generator a: truncation must be >= 2"),
+    ("algebra", ("coaction", "b"), [], "$.coaction.b", "unknown generator"),
+    ("algebra", ("coaction",), {}, "$", "missing coaction for generators ['a']"),
+    ("basis", ("rules",), [], "$.rules", 'unknown field for flavor "basis"'),
+    ("basis", ("labels",), [], "$.labels", "expected a nonempty array"),
+    ("basis", ("labels", 1), 1.5, "$.labels[1]",
+     "labels must be integers or strings, got 1.5"),
+    ("basis", ("labels", 1), "0", "$.labels", "labels collide as strings"),
+    ("basis", ("degrees", 1), -1, "$.degrees[1]", "expected a degree >= 0, got -1"),
+    ("basis", ("coaction", "4"), [], "$.coaction.4", "unknown label"),
+    ("basis", ("coaction", "2", 1, "right"), 4, "$.coaction.2[1].right",
+     "unknown label 4"),
+]
+
+
+@pytest.mark.parametrize("doc,field,value,path,message", REFUSALS,
+                         ids=[f"{r[0]}-{r[3]}-{r[4][:24]}" for r in REFUSALS])
+def test_readers_refuse_malformed_documents(doc, field, value, path, message):
+    """Each refusal of the JSON readers names the offending field's path and
+    says what is wrong with it."""
+    data = refusal_documents()[doc]
+    *outer, last = field
+    parent = data
+    for key in outer:
+        parent = parent[key]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    read = bialgebra_from_dict if doc == "bialgebra" else comodule_from_dict
+    with pytest.raises(SchemaError) as err:
+        read(data)
+    assert err.value.path == path
+    assert message in str(err.value), str(err.value)
 
 
 def test_nonconfluent_module_rules_are_rejected():

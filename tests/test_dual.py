@@ -444,16 +444,22 @@ def test_grouplikes_contain_one_and_are_closed_under_product(key):
             assert frozenset(gh.terms.items()) in listed
 
 
-# -- a J-quotient's dual, read off its parent's coproducts ------------------------
+# -- a J-quotient's dual, against its parent's ---------------------------------
 
-def own_coproduct_table(B):
-    """The dual's table from B's own ``coproduct_mono``: the b_k coefficient
-    of f_i f_j is that of m_i (x) m_j in Delta(m_k), over every k."""
-    index = {m: i for i, m in enumerate(B.basis())}
+def restricted_table(D, remap, Q):
+    """I^perp inside the parent's dual D: D's table on the f_m with m outside
+    I (``remap(m)`` not None), re-indexed through ``remap`` into Q's basis.
+    A product of two such f_m has no coordinate in I, as I is a bi-ideal,
+    so looking every coordinate up checks that too."""
+    index = {m: i for i, m in enumerate(Q.basis())}
+    new = {k: index[r] for k, m in enumerate(D.basis)
+           if (r := remap(m)) is not None}
     table = [{} for _ in index]
-    for k, m in enumerate(B.basis()):
-        for (lm, rm), c in B.coproduct_mono(m).terms.items():
-            table[index[lm]].setdefault(index[rm], {})[k] = c
+    for i, row in enumerate(D.table):
+        if i in new:
+            for j, prod in row.items():
+                if j in new:
+                    table[new[i]][new[j]] = {new[k]: c for k, c in prod.items()}
     return table
 
 
@@ -464,29 +470,32 @@ def bi_ideal_quotients(B):
 
 
 def test_quotient_duals_match_their_own_coproducts():
+    """Each quotient's dual, built from its own coproducts, is the
+    subalgebra I^perp of its parent's dual."""
     checked = 0
     for key in borel_catalog_keys():
         P = catalog.get(key)
+        D = DualAlgebra(P)
         for J, Q, remap in bi_ideal_quotients(P):
-            parent, lift = Q.section
-            assert parent is P
-            assert all(remap(lift(m)) == m for m in Q.basis()), (key, J)
-            assert DualAlgebra(Q).table == own_coproduct_table(Q), (key, J)
+            assert DualAlgebra(Q).table == restricted_table(D, remap, Q), (key, J)
             checked += 1
     assert checked == 87
 
 
 @pytest.mark.parametrize("J1,count", [((3, 2, 1, 1), 34), ((2, 1, 1, 1), 22)])
 def test_a_quotient_of_a_quotient_lifts_to_the_first_parent(J1, count):
+    """A quotient of a quotient of P is the quotient of P through the
+    composed remaps, so its dual is read off P's dual as well."""
     P = catalog.get("e8.mod2")
+    D = DualAlgebra(P)
     Q1, remap1 = quotient_with_map(P, J1)
     quotients = bi_ideal_quotients(Q1)
     assert len(quotients) == count
     for J2, Q2, remap2 in quotients:
-        parent, lift = Q2.section
-        assert parent is P
-        assert all(remap2(remap1(lift(m))) == m for m in Q2.basis()), J2
-        assert DualAlgebra(Q2).table == own_coproduct_table(Q2), J2
+        def remap(m):
+            r = remap1(m)
+            return None if r is None else remap2(r)
+        assert DualAlgebra(Q2).table == restricted_table(D, remap, Q2), J2
 
 
 @settings(max_examples=100, deadline=None)
@@ -496,23 +505,47 @@ def test_quotient_duals_of_random_coproducts_match_their_own(B):
     that are not coassociative or counital are fair input."""
     full = quotient_bialgebra(B, borel_exponents(B))   # I = 0, a quotient of B
     for H in (B, full):
-        for J, Q, _remap in bi_ideal_quotients(H):
-            assert DualAlgebra(Q).table == own_coproduct_table(Q), J
+        D = DualAlgebra(H)
+        for J, Q, remap in bi_ideal_quotients(H):
+            assert DualAlgebra(Q).table == restricted_table(D, remap, Q), J
 
 
 @pytest.mark.parametrize("key,J", [
     ("e8.mod2", (3, 2, 1, 1)), ("e8.mod2", (2, 1, 0, 0)), ("e8.mod2", (1, 1, 1, 0)),
     ("e8.mod3", (1, 1)), ("e7sc.mod2", (1, 1, 1)),
 ])
-def test_a_quotient_dual_computes_no_coproduct_of_its_own(key, J):
-    """The blocks and group-likes of a J-quotient leave its coproduct cache
-    as construction left it: the dual's table comes from the parent, and
-    the one group-like of a connected graded quotient is 1."""
-    Q = quotient_bialgebra(catalog.get(key), J)
-    built = len(Q._cop_cache)
-    decompose(Q)
-    Q.find_grouplikes()
-    assert len(Q._cop_cache) == built
+def test_a_quotient_is_kept_on_its_parent(monkeypatch, key, J):
+    """On a newly built parent, a second call returns the same quotient and
+    remap, and a second decompose of it constructs no DualAlgebra and asks
+    the quotient for no coproduct."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    B = catalog.get(key)
+    assert B._quotients == {}
+    pair = quotient_with_map(B, J)
+    Q = pair[0]
+    assert quotient_with_map(B, J) is pair and quotient_with_map(B, list(J)) is pair
+    assert quotient_bialgebra(B, J) is Q
+    assert list(B._quotients) == [J]
+    blocks = decompose(Q)
+    built, asked = [], []
+    init, coproduct_mono = DualAlgebra.__init__, Q.coproduct_mono
+    monkeypatch.setattr(DualAlgebra, "__init__",
+                        lambda self, B: built.append(1) or init(self, B))
+    monkeypatch.setattr(Q, "coproduct_mono",
+                        lambda m: asked.append(m) or coproduct_mono(m))
+    assert block_record(decompose(quotient_bialgebra(B, J))) == block_record(blocks)
+    assert (built, asked) == ([], [])
+
+
+def test_a_refused_quotient_is_never_kept(monkeypatch):
+    """(2,1,1,0) is not a bi-ideal of e8.mod2 (Delta e_15 has e_9 (x) e_3^2):
+    every call raises, and nothing is kept on the parent."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    B = catalog.get("e8.mod2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not cut out a bi-ideal"):
+            quotient_with_map(B, (2, 1, 1, 0))
+    assert B._quotients == {}
 
 
 # -- the sparse kernel, against oracles that do not read its table ---------------
