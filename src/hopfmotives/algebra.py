@@ -282,7 +282,8 @@ class Algebra:
                 result = (coeff, cur)
                 self._nf_cache[mono] = result
                 return result
-        raise RuntimeError(f"rewriting did not terminate on {mono}")  # pragma: no cover
+        raise RuntimeError(  # pragma: no cover - invariant: rewrites go lex-down
+            f"rewriting did not terminate on {mono}")
 
     def is_normal(self, mono):
         return not any(all(c >= s for c, s in zip(mono, rule.source))
@@ -356,9 +357,6 @@ class Algebra:
     def __eq__(self, other):
         return isinstance(other, Algebra) and self.same_presentation(other) \
             and getattr(self, "coproducts", None) == getattr(other, "coproducts", None)
-
-    def __hash__(self):
-        return hash((self.prime, self.generators))
 
     def __repr__(self):
         gens = ",".join(g.name for g in self.generators)
@@ -719,7 +717,8 @@ def borel_normalize(B):
             power *= B.generators[gen_of[j]].truncation
             j = gen_of[j]
         else:
-            raise ValueError("rewrite chains contain a cycle")
+            raise ValueError(  # pragma: no cover - invariant: targets are later generators
+                "rewrite chains contain a cycle")
         expand[i] = (j, power)
 
     # a root's new truncation is the product of the truncations in its chain
@@ -747,8 +746,9 @@ def borel_normalize(B):
     out = Bialgebra(B.prime, new_gens, (), new_cops)
 
     if Counter(map(B.degree_of, B.basis())) != Counter(map(out.degree_of, out.basis())):
-        raise ValueError("normalization changed the graded dimension "
-                         "(presentation is not of chain shape)")
+        raise ValueError(  # pragma: no cover - invariant: chains are mixed-radix powers
+            "normalization changed the graded dimension "
+            "(presentation is not of chain shape)")
     return out
 
 

@@ -484,10 +484,7 @@ def comodule_from_dict(data, path="$"):
             raise SchemaError(f"{path}.coaction.{key}", "unknown label")
         table[by_str[key]] = tensor_terms_from_json(
             arr, hnames, parse_label, f"{path}.coaction.{key}")
-    try:
-        return BasisComodule(H, labels, degrees, table)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
+    return BasisComodule(H, labels, degrees, table)
 
 
 def comodule_to_dict(M):

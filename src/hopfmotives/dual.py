@@ -313,7 +313,8 @@ def grouplikes(B):
         g = B.element({m: sum(d * chi[n] for n, d in proj[k].items())
                        for k, m in enumerate(D.basis)})
         if not B.is_grouplike(g):
-            raise AssertionError(f"character {g} of a block is not group-like")
+            raise AssertionError(  # pragma: no cover - invariant: characters are group-like
+                f"character {g} of a block is not group-like")
         out.append(g)
     out.sort(key=lambda g: sorted(g.terms.items()))
     return out
@@ -355,13 +356,16 @@ def decompose(B):
 
 def _sanity_check(A, idempotents):
     if _sum(A.p, *((1, e) for e in idempotents)) != A.unit:
-        raise AssertionError("block idempotents do not sum to the unit")
+        raise AssertionError(  # pragma: no cover - invariant: the split keeps the sum
+            "block idempotents do not sum to the unit")
     for i, e in enumerate(idempotents):
         if A.multiply(e, e) != e:
-            raise AssertionError("block element is not idempotent")
+            raise AssertionError(  # pragma: no cover - invariant: e^2 = e for each block
+                "block element is not idempotent")
         for f in idempotents[i + 1:]:
             if A.multiply(e, f) or A.multiply(f, e):
-                raise AssertionError("block idempotents are not orthogonal")
+                raise AssertionError(  # pragma: no cover - invariant: e f = 0 for distinct blocks
+                    "block idempotents are not orthogonal")
 
 
 def tate_block(blocks):

@@ -52,21 +52,11 @@ class PoincarePoly:
             coeffs[s * step] = 1
         return cls(coeffs)
 
-    @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls([0] * degree + [coeff])
-
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, PoincarePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -285,11 +275,15 @@ def jtuples_containing(B, x):
 
 
 def maximal_tuples(tuples):
-    """The componentwise-maximal elements (an antichain), sorted."""
-    ts = sorted(set(tuple(t) for t in tuples))
-    out = [t for t in ts
-           if not any(s != t and all(a <= b for a, b in zip(t, s)) for s in ts)]
-    return out
+    """The componentwise-maximal elements (an antichain), sorted.
+
+    A tuple that dominates t sorts after t, so in descending order t is
+    maximal exactly when no maximal tuple kept before it dominates it."""
+    kept = []
+    for t in sorted(set(map(tuple, tuples)), reverse=True):
+        if not any(all(a <= b for a, b in zip(t, s)) for s in kept):
+            kept.append(t)
+    return kept[::-1]
 
 
 def containment_maxima(B, x):
@@ -357,7 +351,7 @@ def jset_to_tuple(n, members):
         ls = {l for l in range(k) if (2 ** l) * d in complement}
         j = len(ls)
         if ls != set(range(j)):
-            raise ValueError(  # pragma: no cover - halving check rules this out
+            raise ValueError(  # pragma: no cover - invariant: halving rules it out
                 f"not a valid J-set: powers of 2 times {d} are not an initial run")
         out.append(j)
     return tuple(out)

@@ -230,8 +230,9 @@ def line_tensor_table(H):
         for gj in gs:
             k = index.get(gi * gj)
             if k is None:
-                raise ValueError("tensor product left the classified set; "
-                                 "the group-likes are not closed under product")
+                raise ValueError(  # pragma: no cover - invariant: g_i g_j is group-like
+                    "tensor product left the classified set; "
+                    "the group-likes are not closed under product")
             row.append(k)
         table.append(row)
     return table

@@ -19,9 +19,10 @@ from _borel import borel_bialgebras
 from hopfmotives import _linalg, algebra, catalog
 from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  RewriteRule, SchemaError, TensorElement,
-                                 VerifyReport, bialgebra_from_dict,
-                                 bialgebra_to_dict, borel_normalize,
-                                 primitive_bialgebra, verify_bialgebra)
+                                 TensorProduct, VerifyReport,
+                                 bialgebra_from_dict, bialgebra_to_dict,
+                                 borel_normalize, primitive_bialgebra,
+                                 verify_bialgebra)
 from hopfmotives.comod import AlgebraComodule
 from hopfmotives.jinv import quotient_bialgebra
 
@@ -805,3 +806,91 @@ def test_verify_report_passes_until_a_failure():
     assert report and str(report) == "pass"
     report.fail("x")
     assert not report and str(report) == "fail:\n  x"
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+def _gens(*decls):
+    return tuple(GeneratorDecl(*d) for d in decls)
+
+
+AB = _gens(("a", 1, 2), ("b", 2, 2))
+
+ALGEBRA_REFUSALS = [
+    ("prime", lambda: Algebra(4, AB), "prime required (2 <= p <= 13), got 4"),
+    ("duplicate-name", lambda: Algebra(2, _gens(("a", 1, 2), ("a", 2, 2))),
+     "duplicate generator names in ['a', 'a']"),
+    ("unknown-name", lambda: Algebra(2, AB).index("c"), "unknown generator 'c'"),
+    ("source-length", lambda: Algebra(2, AB, [RewriteRule((2,), None)]),
+     "rule 0: source must be a length-2 exponent tuple"),
+    ("unit-source", lambda: Algebra(2, AB, [RewriteRule((0, 0), None)]),
+     "rule 0: source must not be the unit monomial"),
+    ("target-length", lambda: Algebra(2, AB, [RewriteRule((2, 0), (1,))]),
+     "rule 0: target must be a length-2 exponent tuple"),
+    ("zero-coefficient", lambda: Algebra(2, AB, [RewriteRule((2, 0), (0, 1), 4)]),
+     "rule 0: target coefficient is zero mod 2"),
+    ("not-lex-smaller",
+     lambda: Algebra(2, _gens(("a", 2, 2), ("b", 1, 2)), [RewriteRule((0, 2), (1, 0))]),
+     "rule 0: target a is not lexicographically smaller than its source "
+     "(rewriting would not terminate)"),
+    ("duplicate-source",
+     lambda: Algebra(2, AB, [RewriteRule((2, 0), None), RewriteRule((2, 0), None)]),
+     "rule 1: duplicate source"),
+    ("tensor-primes", lambda: TensorProduct(Algebra(2, AB), Algebra(3, AB)),
+     "tensor factors must share the prime"),
+    ("negative-power", lambda: Algebra(2, AB).gen("a") ** -1,
+     "negative powers are not defined"),
+    ("unknown-coproduct",
+     lambda: Bialgebra(2, AB[:1], (), {"a": [], "z": []}),
+     "coproducts given for unknown generators ['z']"),
+    ("missing-coproduct", lambda: Bialgebra(2, AB, (), {"a": []}),
+     "missing coproducts for generators ['b']"),
+    ("borel-mixed-source",
+     lambda: borel_normalize(primitive_bialgebra(
+         2, _gens(("a", 1, 2), ("b", 1, 2)), [RewriteRule((1, 1), None)])),
+     "rule 0: not a pure generator power"),
+    ("borel-short-power",
+     lambda: borel_normalize(primitive_bialgebra(
+         2, _gens(("a", 1, 4)), [RewriteRule((2,), None)])),
+     "rule 0: source power differs from the truncation"),
+    ("borel-scaled-target",
+     lambda: borel_normalize(primitive_bialgebra(
+         3, _gens(("a", 1, 3), ("b", 3, 3)), [RewriteRule((3, 0), (0, 1), 2)])),
+     "rule 0: target is not a single generator with coefficient 1"),
+    ("borel-product-target",
+     lambda: borel_normalize(primitive_bialgebra(
+         2, _gens(("a", 2, 2), ("b", 1, 2), ("c", 3, 2)),
+         [RewriteRule((2, 0, 0), (0, 1, 1))])),
+     "rule 0: target is not a single generator with coefficient 1"),
+    ("borel-shared-target",
+     lambda: borel_normalize(primitive_bialgebra(
+         2, _gens(("a", 1, 2), ("b", 1, 2), ("c", 2, 2)),
+         [RewriteRule((2, 0, 0), (0, 0, 1)), RewriteRule((0, 2, 0), (0, 0, 1))])),
+     "rule 1: generator c is the target of two rules"),
+]
+
+
+@pytest.mark.parametrize("build,message", [r[1:] for r in ALGEBRA_REFUSALS],
+                         ids=[r[0] for r in ALGEBRA_REFUSALS])
+def test_presentations_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_borel_normalize_drops_an_explicit_truncation_rule():
+    """g^N -> 0 with N the truncation says nothing the declaration does not."""
+    gens = _gens(("a", 1, 2), ("b", 2, 2))
+    B = primitive_bialgebra(2, gens, [RewriteRule((2, 0), (0, 1)),
+                                      RewriteRule((0, 2), None)])
+    assert borel_normalize(B).generators == (GeneratorDecl("a", 1, 4),)
+
+
+def test_elements_compare_with_ints_as_scalars():
+    """As in sums and products, an int is that multiple of the unit."""
+    B = catalog.get("k0.pgl3")
+    assert B.one() == 1 and B.one() == 4 and B.one() != 2
+    assert B.zero() == 0 and B.zero() == 3
+    assert B.gen("x") != 0 and B.gen("x") != 1

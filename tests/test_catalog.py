@@ -85,6 +85,26 @@ def test_weyl_rejects_unknown_types():
         catalog.weyl_degrees("A", 0)
 
 
+CATALOG_REFUSALS = [
+    ("rank", lambda: catalog.weyl_degrees("A", 0), "rank must be a positive integer, got 0"),
+    ("rank-d", lambda: catalog.weyl_degrees("D", 1), "series D needs rank >= 2"),
+    ("type", lambda: catalog.weyl_degrees("E", 9), "unknown Weyl group type E9"),
+    ("get", lambda: catalog.get("nope"), "unknown catalog key 'nope'"),
+    ("describe", lambda: catalog.describe("nope"), "unknown catalog key 'nope'"),
+    ("kind", lambda: catalog.kind("nope"), "unknown catalog key 'nope'"),
+    ("edges", lambda: catalog.vishik_edges(12),
+     "no extra-edge table for dimension 12; available: [6, 8, 10]"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in CATALOG_REFUSALS],
+                         ids=[r[0] for r in CATALOG_REFUSALS])
+def test_catalog_refuses_unknown_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # frozen decomposition inputs
 # ---------------------------------------------------------------------------

@@ -346,6 +346,35 @@ def test_bad_extra_edges_schema(tmp_path, capsys):
     assert code == 2 and "edges[0]" in err
 
 
+EDGES = object()  # stands for the path of the edge file of the case
+
+PARSER_REFUSALS = [
+    (("poincare", "e8.mod3", "--jtuple", "x,y"), None,
+     "--jtuple wants comma-separated integers, got 'x,y'"),
+    (("poincare", "e8.mod3", "--jtuple", "1,-1"), None,
+     "--jtuple entries must be non-negative, got '1,-1'"),
+    (("quadric", "--n", "7", "--jset", "1;2"), None,
+     "--jset wants comma-separated integers or 'none', got '1;2'"),
+    (("quadric", "--n", "7", "--jset", "none", "--extra-edges", EDGES), {"x": []},
+     "$: expected an object with exactly the key 'edges'"),
+    (("quadric", "--n", "7", "--jset", "none", "--extra-edges", EDGES), {"edges": {}},
+     "$.edges: expected a list of two-element lists"),
+    (("quadric", "--n", "7", "--jset", "none", "--extra-edges", EDGES),
+     {"edges": [[1, 2, 3]]},
+     "$.edges[0]: expected [label, label] with int or string labels"),
+]
+
+
+@pytest.mark.parametrize("argv,edges,message", PARSER_REFUSALS,
+                         ids=[r[2][:24] for r in PARSER_REFUSALS])
+def test_parsers_refuse_malformed_arguments(tmp_path, capsys, argv, edges, message):
+    """Exit 2 with one line on stderr and nothing on stdout."""
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(edges))
+    argv = [str(path) if a is EDGES else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_argparse_usage_error_exit_code(capsys):
     errs = []
     for _ in range(2):      # the second call reuses the parser

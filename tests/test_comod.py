@@ -883,3 +883,54 @@ def test_label_str_rendering():
     assert label_str((1, 2)) == "(1,2)"
     M = catalog.get("e7p7.mod2")
     assert M.label_str((2, 1, 0)) == "h^2*x_5"
+
+
+# -- refusals ------------------------------------------------------------------------
+
+def trivial_line(key):
+    """The rank-one comodule rho(b) = 1 (x) b over a catalog bialgebra."""
+    H = catalog.get(key)
+    return BasisComodule(H, ("b",), {"b": 0}, {"b": [(1, H.unit_mono, "b")]})
+
+
+def e8_mod3_comodule(labels, degrees):
+    return BasisComodule(catalog.get("e8.mod3"), labels, degrees, {})
+
+
+def a_comodule(prime, coaction):
+    """An algebra comodule over e8.mod3 on one generator a, over F_prime;
+    LIFT is rho(a) = 1 (x) a."""
+    return AlgebraComodule(catalog.get("e8.mod3"),
+                           Algebra(prime, (GeneratorDecl("a", 4, 3),)), coaction)
+
+
+LIFT = [(1, (0, 0), (1,))]
+
+COMODULE_REFUSALS = [
+    ("bool-label", lambda: _label_key(True), "bad label True"),
+    ("duplicate-label", lambda: e8_mod3_comodule(("a", "a"), {"a": 0}),
+     "duplicate labels"),
+    ("missing-degree", lambda: e8_mod3_comodule(("a", "b"), {"a": 0}),
+     "missing degree for label b"),
+    ("module-prime", lambda: a_comodule(2, {"a": LIFT}),
+     "comodule and bialgebra must share the prime"),
+    ("unknown-generator", lambda: a_comodule(3, {"a": LIFT, "z": LIFT}),
+     "coaction given for unknown generators ['z']"),
+    ("missing-generator", lambda: a_comodule(3, {}),
+     "missing coaction for generators ['a']"),
+    ("tensor-bialgebras",
+     lambda: tensor_comodule(trivial_line("e8.mod3"), trivial_line("k0.pgl3")),
+     "tensor factors must live over the same bialgebra"),
+    ("morphism-bialgebras",
+     lambda: is_comodule_morphism(trivial_line("e8.mod3"), trivial_line("k0.pgl3"),
+                                  {"b": {"b": 1}}),
+     "morphisms require a common bialgebra"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in COMODULE_REFUSALS],
+                         ids=[r[0] for r in COMODULE_REFUSALS])
+def test_comodules_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

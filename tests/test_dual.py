@@ -157,6 +157,22 @@ def test_e8_mod5_blocks():
     assert tate_block(blocks) is blocks[0]
 
 
+DUAL_REFUSALS = [
+    ("presentation", lambda: dual_presentation(catalog.get("e8.mod3")),
+     "dual algebra is not generated by a single dual-basis functional"),
+    ("tate-block", lambda: tate_block(decompose(catalog.get("k2.e8.mod5.a1"))[1:]),
+     "no Tate block found"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in DUAL_REFUSALS],
+                         ids=[r[0] for r in DUAL_REFUSALS])
+def test_dual_refuses_what_it_cannot_answer(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_blocks_partition_the_dimension():
     for key in ("k0.pgl5", "k2.e8.mod3.a1", "k2.e8.mod5.a3",
                 "morava.rost.mod2"):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from _borel import borel_bialgebras, borel_catalog_keys
 from hopfmotives import catalog
-from hopfmotives.algebra import borel_normalize, verify_bialgebra
+from hopfmotives.algebra import (Algebra, GeneratorDecl, borel_normalize,
+                                 primitive_bialgebra, verify_bialgebra)
 from hopfmotives.jinv import (PoincarePoly, borel_exponents,
                               containment_maxima, fpoin, ideal_member,
                               is_bi_ideal, jset_to_tuple, jtuples_containing,
@@ -231,6 +232,20 @@ def test_maximal_tuples_drops_dominated_entries():
     assert maximal_tuples({(2, 0), (0, 2), (1, 1)}) == [(0, 2), (1, 1), (2, 0)]
 
 
+def pairwise_maximal_tuples(tuples):
+    """Reference: keep each tuple that no other tuple dominates."""
+    ts = sorted(set(map(tuple, tuples)))
+    return [t for t in ts
+            if not any(s != t and all(a <= b for a, b in zip(t, s)) for s in ts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.tuples(*[st.integers(0, 3)] * r), max_size=40)))
+def test_maximal_tuples_match_the_pairwise_filter(tuples):
+    assert maximal_tuples(tuples) == pairwise_maximal_tuples(tuples)
+
+
 def test_jtuples_containing_rejects_zero():
     B = catalog.get("e8.mod3")
     with pytest.raises(ValueError):
@@ -280,3 +295,61 @@ def test_borel_exponents_rejects_unnormalized_presentations():
     with pytest.raises(ValueError):
         borel_exponents(catalog.get("so13.mod2"))
     assert borel_exponents(borel_normalize(catalog.get("so13.mod2"))) == (3, 2, 1)
+
+
+# -- refusals ----------------------------------------------------------------------
+
+JINV_REFUSALS = [
+    ("zero-divisor", lambda: PoincarePoly([1]).exact_div(PoincarePoly([])),
+     "division by the zero polynomial"),
+    ("low-degree-remainder", lambda: PoincarePoly([1]).exact_div(PoincarePoly([1, 1])),
+     "1 is not divisible by 1 + t"),
+    ("non-integral-quotient",
+     lambda: PoincarePoly([1, 1]).exact_div(PoincarePoly([1, 2])),
+     "1 + t is not divisible by 1 + 2*t"),
+    ("remainder", lambda: PoincarePoly([1, 0, 1]).exact_div(PoincarePoly([1, 1])),
+     "1 + t^2 is not divisible by 1 + t"),
+    ("rules", lambda: borel_exponents(catalog.get("so13.mod2")),
+     "not in Borel form: presentation has explicit rewrite rules"),
+    ("truncation", lambda: borel_exponents(primitive_bialgebra(
+        2, (GeneratorDecl("a", 1, 3),))),
+     "not in Borel form: truncation 3 of a is not a power of 2"),
+    ("jtuple-length", lambda: validate_jtuple(catalog.get("e8.mod3"), (1,)),
+     "J-tuple has length 1, expected 2"),
+    ("jtuple-entry", lambda: validate_jtuple(catalog.get("e8.mod3"), (2, 1)),
+     "J-tuple entry for e_4 must lie in 0..1, got 2"),
+    ("zero-element", lambda: jtuples_containing(catalog.get("e8.mod3"),
+                                                catalog.get("e8.mod3").zero()),
+     "the zero element lies in every ideal"),
+    ("quadric-n", lambda: so_borel(2), "n must be an integer >= 3, got 2"),
+    ("jset-range", lambda: jset_to_tuple(7, (4,)), "J-set member 4 outside 0..3"),
+    ("jset-duplicate", lambda: jset_to_tuple(7, (1, 1)), "duplicate J-set member 1"),
+    ("jset-odd-zero", lambda: jset_to_tuple(7, (0, 3)),
+     "0 cannot belong to the J-set of an odd-dimensional form"),
+    ("jset-even-zero", lambda: jset_to_tuple(8, (1, 2)),
+     "0 must belong to the J-set of an even-dimensional form"),
+    ("jset-halving", lambda: jset_to_tuple(12, (0, 1)),
+     "not a valid J-set: 2 is missing but 1 is present"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in JINV_REFUSALS],
+                         ids=[r[0] for r in JINV_REFUSALS])
+def test_jinv_refuses_invalid_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_search_bounds_refuse_before_enumerating(monkeypatch):
+    """Both bounds count the candidates first and name the bound and the
+    count; the basis refusal tests no monomial."""
+    A = Algebra(2, [GeneratorDecl(f"g{i}", 1, 2) for i in range(21)])
+    monkeypatch.setattr(Algebra, "is_normal", lambda self, mono: pytest.fail())
+    with pytest.raises(ValueError) as err:
+        A.basis()
+    assert str(err.value) == \
+        "basis enumeration over bound (2097152 > 2000000 candidates)"
+    with pytest.raises(ValueError) as err:
+        valid_jtuples(so_borel(37))
+    assert str(err.value) == "tuple enumeration over bound (10368 > 10000 tuples)"

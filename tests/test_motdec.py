@@ -20,7 +20,7 @@ from hopfmotives.motdec import (closed_form_quadric_edges, direct_edges,
                                 top_ideal_monomial, transitive_closure,
                                 twist_multiset)
 
-from test_comod import mixed_json_comodule
+from test_comod import mixed_json_comodule, trivial_line
 
 
 def test_transitive_closure():
@@ -194,3 +194,28 @@ def test_rank1_isomorphism():
 def test_rank1_rejects_bigger_comodules():
     with pytest.raises(ValueError, match="rank one"):
         rank1_grouplike(catalog.get("e7p7.mod2"))
+
+
+MOTDEC_REFUSALS = [
+    ("edge-endpoint",
+     lambda: partition_blocks(quadric_comodule(8, (1, 0)), [("zz", 0)]),
+     "extra edge endpoint zz is not a label of the comodule"),
+    ("not-divisible", lambda: twist_multiset(PoincarePoly([1, 0, 1]), PoincarePoly([1, 1])),
+     "1 + t^2 is not divisible by 1 + t"),
+    ("negative-twists",
+     lambda: twist_multiset(PoincarePoly([1, 0, 0, 1]), PoincarePoly([1, 1])),
+     "quotient 1 + -1*t + t^2 has negative coefficients"),
+    ("rank", lambda: rank1_grouplike(catalog.get("e7p7.mod2")),
+     "isomorphism testing is restricted to rank one (got rank 56)"),
+    ("bialgebras",
+     lambda: rank1_isomorphic(trivial_line("k0.pgl2"), trivial_line("k0.pgl3")),
+     "comodules live over different bialgebras"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in MOTDEC_REFUSALS],
+                         ids=[r[0] for r in MOTDEC_REFUSALS])
+def test_motdec_refuses_invalid_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
