@@ -56,7 +56,7 @@ vanish.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from operator import add
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -103,6 +103,13 @@ def gen_mono(r, i, e=1):
     return (0,) * i + (e,) + (0,) * (r - i - 1)
 
 
+def _check_exponents(mono, r, what=None):
+    """Refuse ``mono`` unless it is a tuple of r nonnegative exponents;
+    ``what`` names it in the message (by default the tuple itself)."""
+    if len(mono) != r or any(e < 0 for e in mono):
+        raise ValueError(f"{what or f'monomial {mono}'} must be a length-{r} exponent tuple")
+
+
 def extend_multiplicatively(cache, images, mono):
     """The image of an exponent tuple under the algebra map sending generator
     i to ``images[i]``, memoized in ``cache`` (which must hold the unit tuple).
@@ -113,6 +120,8 @@ def extend_multiplicatively(cache, images, mono):
     """
     path, cur = [], tuple(mono)
     while cur not in cache:
+        if not path:
+            _check_exponents(cur, len(images))
         i = max(j for j, e in enumerate(cur) if e)
         path.append(i)
         cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
@@ -199,14 +208,11 @@ class Algebra:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def _validate_rule(self, rule, where):
-        r = self.ngens
-        if len(rule.source) != r or any(e < 0 for e in rule.source):
-            raise ValueError(f"{where}: source must be a length-{r} exponent tuple")
+        _check_exponents(rule.source, self.ngens, f"{where}: source")
         if rule.source == self.unit_mono:
             raise ValueError(f"{where}: source must not be the unit monomial")
         if rule.target is not None:
-            if len(rule.target) != r or any(e < 0 for e in rule.target):
-                raise ValueError(f"{where}: target must be a length-{r} exponent tuple")
+            _check_exponents(rule.target, self.ngens, f"{where}: target")
             if rule.coeff % self.prime == 0:
                 raise ValueError(f"{where}: target coefficient is zero mod {self.prime}")
             if self.degree_of(rule.target) != self.degree_of(rule.source):
@@ -265,7 +271,7 @@ class Algebra:
         try:
             return self._nf_cache[mono]
         except KeyError:
-            pass
+            _check_exponents(mono, self.ngens)
         coeff, cur = 1, mono
         for _ in range(100_000):
             for rule in self._compiled:
@@ -360,7 +366,7 @@ class Algebra:
 
     def __repr__(self):
         gens = ",".join(g.name for g in self.generators)
-        return f"<{type(self).__name__} F_{self.prime}[{gens}] dim {self.dimension()}>"
+        return f"<{type(self).__name__} F_{self.prime}[{gens}]>"
 
 
 class TensorProduct:
@@ -676,6 +682,18 @@ def verify_bialgebra(B):
     return report
 
 
+def _pushforward(B, truncations, remap):
+    """The rule-free bialgebra on the generators of B indexed by the keys of
+    ``truncations`` (in their order), each with its new truncation, and with
+    B's coproduct table pushed through ``remap`` on exponent tuples: a term
+    drops out when ``remap`` sends one of its factors to None."""
+    gens = tuple(B.generators[i]._replace(truncation=n) for i, n in truncations.items())
+    return Bialgebra(B.prime, gens, (), {
+        g.name: [t for c, lm, rm in B.coproducts[g.name]
+                 for t in ((c, remap(lm), remap(rm)),) if None not in t]
+        for g in gens})
+
+
 def borel_normalize(B):
     """Re-present a bialgebra with chain rules g^N -> g' in pure Borel form.
 
@@ -683,10 +701,12 @@ def borel_normalize(B):
     generator with coefficient 1 (or to zero), with the rewritten generators
     forming disjoint chains.  Generators expressible as powers of earlier ones
     are deleted; each survivor keeps the composite truncation (its minimal
-    vanishing power).  Coproducts are rewritten through the substitution, and
-    the graded dimension is checked to be preserved.
+    vanishing power), and coproducts are pushed through the substitution.
+    A rule's target comes after its source, so one walk in ascending index
+    finds each generator's chain root and power.  The graded dimension is
+    kept: a chain's monomials are the mixed-radix digits of a root power.
     """
-    gen_of = {}   # generator index -> (index of single-gen rule target, power)
+    gen_of = {}   # generator index -> index of the rule source it is the target of
     for k, rule in enumerate(B.rules):
         src_support = [(i, e) for i, e in enumerate(rule.source) if e]
         if len(src_support) != 1:
@@ -696,60 +716,32 @@ def borel_normalize(B):
             raise ValueError(f"rule {k}: source power differs from the truncation")
         if rule.target is None:
             continue
-        tgt_support = [(j, f) for j, f in enumerate(rule.target) if f]
-        if len(tgt_support) != 1 or tgt_support[0][1] != 1 or rule.coeff % B.prime != 1:
+        if sum(rule.target) != 1 or rule.coeff % B.prime != 1:  # exponents are >= 0
             raise ValueError(f"rule {k}: target is not a single generator "
                              f"with coefficient 1")
-        j = tgt_support[0][0]
+        j = rule.target.index(1)
         if j in gen_of:
             raise ValueError(f"rule {k}: generator {B.generators[j].name} "
                              f"is the target of two rules")
         gen_of[j] = i
 
-    survivors = [i for i in range(B.ngens) if i not in gen_of]
-    # express every generator as a power of its chain root
-    expand = {}
-    for i in range(B.ngens):
-        j, power = i, 1
-        for _ in range(B.ngens + 1):
-            if j not in gen_of:
-                break
-            power *= B.generators[gen_of[j]].truncation
-            j = gen_of[j]
-        else:
-            raise ValueError(  # pragma: no cover - invariant: targets are later generators
-                "rewrite chains contain a cycle")
-        expand[i] = (j, power)
-
-    # a root's new truncation is the product of the truncations in its chain
-    new_trunc = dict.fromkeys(survivors, 1)
-    for i, (root, _power) in expand.items():
-        new_trunc[root] *= B.generators[i].truncation
-
-    new_gens = tuple(GeneratorDecl(B.generators[i].name, B.generators[i].degree,
-                                   new_trunc[i]) for i in survivors)
-    pos = {i: s for s, i in enumerate(survivors)}
+    chain = []        # generator index -> (its chain root, k with generator = root^k)
+    truncations = {}  # chain root -> product of the truncations in its chain
+    for j, g in enumerate(B.generators):
+        i = gen_of.get(j)
+        root, power = (j, 1) if i is None else \
+            (chain[i][0], chain[i][1] * B.generators[i].truncation)
+        chain.append((root, power))
+        truncations[root] = power * g.truncation  # the chain's last member writes last
+    slot = {root: s for s, root in enumerate(truncations)}
 
     def remap(mono):
-        out = [0] * len(survivors)
-        for i, e in enumerate(mono):
-            if e:
-                root, power = expand[i]
-                out[pos[root]] += e * power
+        out = [0] * len(slot)
+        for (root, power), e in zip(chain, mono):
+            out[slot[root]] += e * power
         return tuple(out)
 
-    new_cops = {}
-    for s in survivors:
-        name = B.generators[s].name
-        new_cops[name] = [(c, remap(lm), remap(rm))
-                          for c, lm, rm in B.coproducts[name]]
-    out = Bialgebra(B.prime, new_gens, (), new_cops)
-
-    if Counter(map(B.degree_of, B.basis())) != Counter(map(out.degree_of, out.basis())):
-        raise ValueError(  # pragma: no cover - invariant: chains are mixed-radix powers
-            "normalization changed the graded dimension "
-            "(presentation is not of chain shape)")
-    return out
+    return _pushforward(B, truncations, remap)
 
 
 # -- JSON interchange -------------------------------------------------------

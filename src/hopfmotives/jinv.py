@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import (Bialgebra, Element, GeneratorDecl, _terms_str, gen_mono,
-                      primitive_bialgebra)
+from .algebra import (Element, GeneratorDecl, _check_exponents, _pushforward,
+                      _terms_str, gen_mono, primitive_bialgebra)
 
 _TUPLE_ENUM_BOUND = 10_000
 
@@ -173,8 +173,10 @@ def ideal_member(B, J, x):
     its normal-form monomials is divisible by some e_i^(p^(j_i)).
     """
     bounds = [B.prime ** j for j in validate_jtuple(B, J)]
-    return all(_in_ideal(bounds, m)
-               for m in (x.terms if isinstance(x, Element) else [x]))
+    if isinstance(x, Element):
+        return all(_in_ideal(bounds, m) for m in x.terms)
+    _check_exponents(x, B.ngens)
+    return _in_ideal(bounds, x)
 
 
 def _bi_ideal_witness(B, J):
@@ -210,10 +212,12 @@ def quotient_with_map(B, J):
     the monomial lies in the ideal (some e_i^(p^(j_i)) divides it, a deleted
     generator being one with bound p^0 = 1), and otherwise to its normal
     monomial in the quotient, so it is injective off the ideal.  The
-    quotient's coproduct table is filtered through it.  The pair is built
-    once and kept on B per J-tuple (``B._quotients``), so every caller works
-    on one quotient object, with its own coproduct and dual tables; a
-    J-tuple that does not cut out a bi-ideal raises on every call.
+    quotient is B pushed forward through it (``algebra._pushforward``): the
+    kept generators with truncations p^(j_i), and B's coproduct table less
+    the terms with a factor in the ideal.  The pair is built once and kept
+    on B per J-tuple (``B._quotients``), so every caller works on one
+    quotient object, with its own coproduct and dual tables; a J-tuple that
+    does not cut out a bi-ideal raises on every call.
     """
     J = validate_jtuple(B, J)
     if J in B._quotients:
@@ -226,23 +230,12 @@ def quotient_with_map(B, J):
             f"{B.monomial_str(m)} has the term "
             f"{B.monomial_str(lm)}⊗{B.monomial_str(rm)} outside B⊗J + J⊗B")
     bounds = [B.prime ** j for j in J]
-    keep = [i for i, b in enumerate(bounds) if b > 1]
-    new_gens = tuple(GeneratorDecl(B.generators[i].name, B.generators[i].degree,
-                                   bounds[i]) for i in keep)
+    kept = {i: b for i, b in enumerate(bounds) if b > 1}  # generator -> truncation
 
     def remap(mono):
-        return None if _in_ideal(bounds, mono) else tuple(mono[i] for i in keep)
+        return None if _in_ideal(bounds, mono) else tuple(mono[i] for i in kept)
 
-    cops = {}
-    for i in keep:
-        name = B.generators[i].name
-        terms = []
-        for c, lm, rm in B.coproducts[name]:
-            l2, r2 = remap(lm), remap(rm)
-            if l2 is not None and r2 is not None:
-                terms.append((c, l2, r2))
-        cops[name] = terms
-    B._quotients[J] = Bialgebra(B.prime, new_gens, (), cops), remap
+    B._quotients[J] = _pushforward(B, kept, remap), remap
     return B._quotients[J]
 
 

@@ -24,7 +24,7 @@ from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  borel_normalize, primitive_bialgebra,
                                  verify_bialgebra)
 from hopfmotives.comod import AlgebraComodule
-from hopfmotives.jinv import quotient_bialgebra
+from hopfmotives.jinv import quotient_bialgebra, so_borel
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +706,50 @@ def test_borel_normalize_is_identity_on_borel_forms():
     assert borel_normalize(B).same_presentation(B)
 
 
+@pytest.mark.parametrize("n", range(5, 24))
+def test_borel_normalize_enumerates_no_basis(n, monkeypatch):
+    """The Borel form of Ch(SO_n) mod 2 is read off the chains alone."""
+    B = catalog._so_chow(n)
+    with monkeypatch.context() as patch:
+        patch.setattr(Algebra, "basis", lambda self: pytest.fail("basis enumerated"))
+        N = borel_normalize(B)
+    assert N == so_borel(n)
+
+
+@st.composite
+def chain_presentations(draw):
+    """A primitive bialgebra with chain rules g_i^(N_i) -> g_j (j > i, the
+    degree of g_j being N_i times that of g_i); generators left at the end of
+    a chain may carry an explicit g^N -> 0."""
+    p = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(1, 4))
+    gens, sources, ends = [], [], []
+    for j in range(r):
+        i = draw(st.sampled_from([None] + ends))
+        if i is None:
+            degree = draw(st.integers(1, 3))
+        else:
+            ends.remove(i)
+            sources.append((i, j))
+            degree = gens[i].truncation * gens[i].degree
+        gens.append(GeneratorDecl(f"g{j}", degree, draw(st.integers(2, 4))))
+        ends.append(j)
+    rules = [RewriteRule(algebra.gen_mono(r, i, gens[i].truncation), algebra.gen_mono(r, j))
+             for i, j in sources]
+    rules += [RewriteRule(algebra.gen_mono(r, i, gens[i].truncation), None)
+              for i in ends if draw(st.booleans())]
+    return primitive_bialgebra(p, gens, draw(st.permutations(rules)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_presentations())
+def test_borel_normalize_keeps_the_graded_dimension(B):
+    """The graded dimension is kept: both bases have the same degrees."""
+    N = borel_normalize(B)
+    assert N.rules == ()
+    assert Counter(map(N.degree_of, N.basis())) == Counter(map(B.degree_of, B.basis()))
+
+
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
@@ -847,6 +891,14 @@ ALGEBRA_REFUSALS = [
      "coproducts given for unknown generators ['z']"),
     ("missing-coproduct", lambda: Bialgebra(2, AB, (), {"a": []}),
      "missing coproducts for generators ['b']"),
+    ("negative-exponent", lambda: catalog.get("e8.mod2").coproduct_mono((-1, 0, 0, 0)),
+     "monomial (-1, 0, 0, 0) must be a length-4 exponent tuple"),
+    ("short-coproduct", lambda: catalog.get("e8.mod2").coproduct_mono((1,)),
+     "monomial (1,) must be a length-4 exponent tuple"),
+    ("long-monomial", lambda: catalog.get("e8.mod2").monomial((0, 0, 0, 0, 1)),
+     "monomial (0, 0, 0, 0, 1) must be a length-4 exponent tuple"),
+    ("negative-monomial", lambda: catalog.get("e8.mod2").monomial((-1, 0, 0, 0)),
+     "monomial (-1, 0, 0, 0) must be a length-4 exponent tuple"),
     ("borel-mixed-source",
      lambda: borel_normalize(primitive_bialgebra(
          2, _gens(("a", 1, 2), ("b", 1, 2)), [RewriteRule((1, 1), None)])),
@@ -878,6 +930,14 @@ def test_presentations_refuse_malformed_input(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_repr_enumerates_no_basis():
+    """repr names the prime and the generators, even past the basis bound."""
+    B = so_borel(161)
+    assert repr(B).startswith("<Bialgebra F_2[e_1,e_3,e_5,")
+    assert repr(B).endswith(",e_77,e_79]>")
+    assert repr(Algebra(3, AB)) == "<Algebra F_3[a,b]>"
 
 
 def test_borel_normalize_drops_an_explicit_truncation_rule():

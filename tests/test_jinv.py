@@ -318,6 +318,8 @@ JINV_REFUSALS = [
      "J-tuple has length 1, expected 2"),
     ("jtuple-entry", lambda: validate_jtuple(catalog.get("e8.mod3"), (2, 1)),
      "J-tuple entry for e_4 must lie in 0..1, got 2"),
+    ("member-length", lambda: ideal_member(catalog.get("e8.mod2"), (1, 1, 1, 1), (5,)),
+     "monomial (5,) must be a length-4 exponent tuple"),
     ("zero-element", lambda: jtuples_containing(catalog.get("e8.mod3"),
                                                 catalog.get("e8.mod3").zero()),
      "the zero element lies in every ideal"),
