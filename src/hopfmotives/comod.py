@@ -5,10 +5,11 @@ Two flavors share one interface (``labels``, ``degree_of``, ``coaction_vec``,
 
 * ``AlgebraComodule`` -- the underlying module is itself a rewrite-form
   algebra M, and the coaction rho: M -> H (x) M is given on generators and
-  extended multiplicatively.  Basis labels are the normal-form monomials
-  of M.
+  extended multiplicatively, built and read as a coproduct is (the coaction
+  of H on itself).  Basis labels are the normal-form monomials of M.
 * ``BasisComodule`` -- a plain graded F_p vector space with an explicit
-  coaction table on basis labels (ints or strings).
+  coaction table on basis labels (ints, strings, or tuples of labels, which
+  JSON writes as arrays).
 
 Coactions are not required to preserve degree (the K-theory comodules do
 not), only the counit and coassociativity laws, which ``BasisComodule``
@@ -52,12 +53,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _linalg
-from .algebra import (Algebra, SchemaError, TensorElement, _check_keys,
-                      _check_rules, _coassociative, _gens_from_json,
-                      _mod_sum, _rules_from_json, _terms_str,
+from .algebra import (Algebra, SchemaError, _check_keys, _check_rules,
+                      _coassociative, _generator_images,
+                      _generator_terms_from_json, _gens_from_json, _mod_sum,
+                      _rules_from_json, _tensor_terms_to_json, _terms_str,
                       bialgebra_from_dict, bialgebra_to_dict,
-                      extend_multiplicatively, gen_mono,
-                      mono_from_json, mono_to_json, presentation_to_dict,
+                      extend_multiplicatively, gen_mono, presentation_to_dict,
                       tensor_terms_from_json)
 from .jinv import quotient_with_map, so_borel
 
@@ -180,24 +181,11 @@ class AlgebraComodule(_ComoduleBase):
     def __init__(self, H, module, coaction):
         if H.prime != module.prime:
             raise ValueError("comodule and bialgebra must share the prime")
-        coaction = dict(coaction)
-        names = {g.name for g in module.generators}
-        unknown = set(coaction) - names
-        if unknown:
-            raise ValueError(f"coaction given for unknown generators {sorted(unknown)}")
-        missing = names - set(coaction)
-        if missing:
-            raise ValueError(f"missing coaction for generators {sorted(missing)}")
         self.H = H
         self.module = module
-        self._gen_table = {
-            gname: TensorElement(H, module, [((tuple(hm), tuple(mm)), c)
-                                             for c, hm, mm in terms])
-            for gname, terms in coaction.items()}
-        self._images = [self._gen_table[g.name] for g in module.generators]
+        self._images, self._raw_cache = _generator_images(H, module, coaction, "coaction")
+        self._gen_table = {g.name: t for g, t in zip(module.generators, self._images)}
         self.labels = module.basis()
-        self._raw_cache = {module.unit_mono: TensorElement(
-            H, module, {(H.unit_mono, module.unit_mono): 1})}
 
     def degree_of(self, label):
         return self.module.degree_of(label)
@@ -419,9 +407,6 @@ def comodule_from_dict(data, path="$"):
         raise SchemaError(f"{path}.hopf", "missing field")
     H = bialgebra_from_dict(data["hopf"], f"{path}.hopf")
     hnames = [g.name for g in H.generators]
-    coaction = data.get("coaction")
-    if not isinstance(coaction, dict):
-        raise SchemaError(f"{path}.coaction", "expected an object")
 
     if flavor == "algebra":
         for key in ("labels", "degrees"):
@@ -430,35 +415,26 @@ def comodule_from_dict(data, path="$"):
         gens = _gens_from_json(data, path)
         mnames = [g.name for g in gens]
         rules = _rules_from_json(data, mnames, path)
+        table = _generator_terms_from_json(data, "coaction", hnames, mnames, path)
         try:
-            module = Algebra(H.prime, gens, rules)
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from None
-        table = {}
-        for name, arr in coaction.items():
-            if name not in mnames:
-                raise SchemaError(f"{path}.coaction.{name}", "unknown generator")
-            table[name] = tensor_terms_from_json(
-                arr, hnames,
-                lambda obj, pth: mono_from_json(obj, mnames, pth),
-                f"{path}.coaction.{name}")
-        try:
-            return AlgebraComodule(H, module, table)
+            return AlgebraComodule(H, Algebra(H.prime, gens, rules), table)
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from None
 
     for key in ("generators", "rules"):
         if key in data:
             raise SchemaError(f"{path}.{key}", 'unknown field for flavor "basis"')
+    coaction = data.get("coaction")
+    if not isinstance(coaction, dict):
+        raise SchemaError(f"{path}.coaction", "expected an object")
     raw_labels = data.get("labels")
     if not isinstance(raw_labels, list) or not raw_labels:
         raise SchemaError(f"{path}.labels", "expected a nonempty array")
-    labels = []
-    for i, lab in enumerate(raw_labels):
-        if isinstance(lab, bool) or not isinstance(lab, (int, str)):
-            raise SchemaError(f"{path}.labels[{i}]",
-                              f"labels must be integers or strings, got {lab!r}")
-        labels.append(lab)
+    labels = [_label_from_json(raw) for raw in raw_labels]
+    if None in labels:
+        i = labels.index(None)
+        raise SchemaError(f"{path}.labels[{i}]", "labels must be integers or strings or "
+                          f"nonempty arrays of labels, got {raw_labels[i]!r}")
     degs = data.get("degrees")
     if not isinstance(degs, list) or len(degs) != len(labels):
         raise SchemaError(f"{path}.degrees",
@@ -473,10 +449,10 @@ def comodule_from_dict(data, path="$"):
         raise SchemaError(f"{path}.labels", "labels collide as strings")
 
     def parse_label(obj, pth):
-        key = label_str(obj) if isinstance(obj, (int, str)) else None
-        if key is None or key not in by_str:
+        lab = _label_from_json(obj)
+        if lab is None or label_str(lab) not in by_str:
             raise SchemaError(pth, f"unknown label {obj!r}")
-        return by_str[key]
+        return by_str[label_str(lab)]
 
     table = {}
     for key, arr in coaction.items():
@@ -487,6 +463,15 @@ def comodule_from_dict(data, path="$"):
     return BasisComodule(H, labels, degrees, table)
 
 
+def _label_from_json(obj):
+    """An integer or string label as it is, a nonempty array of labels as
+    their tuple; None for anything else."""
+    if isinstance(obj, list) and obj:
+        items = tuple(map(_label_from_json, obj))
+        return None if None in items else items
+    return obj if isinstance(obj, (int, str)) and not isinstance(obj, bool) else None
+
+
 def comodule_to_dict(M):
     hnames = [g.name for g in M.H.generators]
     out = {"flavor": "basis", "hopf": bialgebra_to_dict(M.H)}
@@ -495,18 +480,14 @@ def comodule_to_dict(M):
         out["flavor"] = "algebra"
         out.update(presentation_to_dict(M.module))
         out["coaction"] = {
-            g.name: [{"coeff": c, "left": mono_to_json(hnames, hm),
-                      "right": mono_to_json(mnames, mm)}
-                     for (hm, mm), c in sorted(M._gen_table[g.name].terms.items())]
+            g.name: _tensor_terms_to_json(sorted(M._gen_table[g.name].terms.items()),
+                                          hnames, mnames)
             for g in M.module.generators}
         return out
     out["labels"] = list(M.labels)
     out["degrees"] = [M.degree_of(l) for l in M.labels]
     out["coaction"] = {
-        label_str(lab): [{"coeff": c, "left": mono_to_json(hnames, hm),
-                          "right": lab2}
-                         for (hm, lab2), c in sorted(
-                             M.coaction_vec(lab).items(),
-                             key=lambda t: (t[0][0], _label_key(t[0][1])))]
+        label_str(lab): _tensor_terms_to_json(sorted(
+            M.coaction_vec(lab).items(), key=lambda t: (t[0][0], _label_key(t[0][1]))), hnames)
         for lab in M.labels}
     return out

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import (Element, GeneratorDecl, _check_exponents, _pushforward,
-                      _terms_str, gen_mono, primitive_bialgebra)
+from .algebra import (Element, GeneratorDecl, _check_exponents, _check_mates,
+                      _pushforward, _terms_str, gen_mono, primitive_bialgebra)
 
 _TUPLE_ENUM_BOUND = 10_000
 
@@ -174,6 +174,7 @@ def ideal_member(B, J, x):
     """
     bounds = [B.prime ** j for j in validate_jtuple(B, J)]
     if isinstance(x, Element):
+        _check_mates(B, x.alg)
         return all(_in_ideal(bounds, m) for m in x.terms)
     _check_exponents(x, B.ngens)
     return _in_ideal(bounds, x)

@@ -667,6 +667,47 @@ def test_verify_flags_broken_coassociativity():
     assert any("counit" in f for f in report.failures)
 
 
+@st.composite
+def perturbed_coproduct_tables(draw):
+    """Two generators over F_2 or F_3, each with Delta(g) = g (x) 1 + 1 (x) g
+    plus up to three random terms, whose factors are often the unit."""
+    p = draw(st.sampled_from([2, 3]))
+    gens = (GeneratorDecl("a", 1, draw(st.integers(2, 3))),
+            GeneratorDecl("b", draw(st.integers(1, 2)), draw(st.integers(2, 3))))
+    unit = (0, 0)
+    mono = st.one_of(st.just(unit), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    term = st.tuples(st.integers(1, p - 1), mono, mono)
+    return Bialgebra(p, gens, (), {
+        g.name: [(1, algebra.gen_mono(2, i), unit), (1, unit, algebra.gen_mono(2, i))]
+        + draw(st.lists(term, max_size=3)) for i, g in enumerate(gens)})
+
+
+def test_counit_laws_leave_no_unit_factor_in_reduced_coproducts():
+    """Where both counit laws hold, the terms of Delta(g) with a unit factor
+    are exactly g (x) 1 and 1 (x) g, so verify_bialgebra needs no
+    connectedness check of its own."""
+    verdicts = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(perturbed_coproduct_tables())
+    def check(B):
+        report = verify_bialgebra(B)
+        unit = B.unit_mono
+        for g in B.generators:
+            gx = B.gen(g.name)
+            reduced = dict(B.coproduct(gx).terms)
+            for m, c in gx.terms.items():
+                for t in ((m, unit), (unit, m)):
+                    reduced[t] = (reduced.get(t, 0) - c) % B.prime
+            counit_ok = not any(f.startswith(f"counit law fails on {g.name}:")
+                                for f in report.failures)
+            if counit_ok:
+                assert not any(c and unit in t for t, c in reduced.items())
+            verdicts.add(counit_ok)
+    check()
+    assert verdicts == {True, False}
+
+
 def test_verify_flags_rule_incompatibility():
     gens = (GeneratorDecl("a", 2, 4), GeneratorDecl("b", 4, 2))
     rules = (RewriteRule((2, 0), (0, 1)),)

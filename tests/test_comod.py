@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -764,6 +766,29 @@ def test_basis_comodule_round_trip():
     assert verify_comodule(M2)
 
 
+def test_tuple_labels_round_trip_through_json():
+    """Restrictions and tensor products of an algebra comodule are labelled
+    by tuples; a JSON file writes them as arrays and reads them back."""
+    M = catalog.get("e7p7.mod2")
+    for N in (restrict_comodule(M, (1, 0, 0)), tensor_comodule(M, M)):
+        doc = json.loads(json.dumps(comodule_to_dict(N)))
+        back = comodule_from_dict(doc)
+        assert back.H == N.H and back.labels == N.labels
+        for lab in N.labels:
+            assert back.coaction_vec(lab) == N.coaction_vec(lab)
+        assert json.loads(json.dumps(comodule_to_dict(back))) == doc
+
+
+@pytest.mark.parametrize("key", [k for k in catalog.keys() if catalog.kind(k) == "bialgebra"])
+def test_bialgebra_is_its_own_algebra_comodule(key):
+    """The coproduct of B is the coaction of B on its own algebra."""
+    B = catalog.get(key)
+    M = AlgebraComodule(B, Algebra(B.prime, B.generators, B.rules), B.coproducts)
+    assert M.verify()
+    for mono in B.basis():
+        assert M.coaction_raw(mono).terms == B.coproduct_mono(mono).terms
+
+
 def test_comodule_schema_rejections():
     good = comodule_to_dict(catalog.get("e7p7.mod2"))
 
@@ -824,17 +849,25 @@ REFUSALS = [
      'unknown field for flavor "algebra"'),
     ("algebra", ("generators", 0, "truncation"), 1, "$",
      "generator a: truncation must be >= 2"),
+    ("algebra", ("coaction",), [], "$.coaction", "expected an object"),
     ("algebra", ("coaction", "b"), [], "$.coaction.b", "unknown generator"),
     ("algebra", ("coaction",), {}, "$", "missing coaction for generators ['a']"),
     ("basis", ("rules",), [], "$.rules", 'unknown field for flavor "basis"'),
+    ("basis", ("coaction",), [], "$.coaction", "expected an object"),
     ("basis", ("labels",), [], "$.labels", "expected a nonempty array"),
     ("basis", ("labels", 1), 1.5, "$.labels[1]",
-     "labels must be integers or strings, got 1.5"),
+     "labels must be integers or strings or nonempty arrays of labels, got 1.5"),
+    ("basis", ("labels", 0), [], "$.labels[0]",
+     "labels must be integers or strings or nonempty arrays of labels, got []"),
+    ("basis", ("labels", 2), [0, 1.5], "$.labels[2]",
+     "labels must be integers or strings or nonempty arrays of labels, got [0, 1.5]"),
     ("basis", ("labels", 1), "0", "$.labels", "labels collide as strings"),
     ("basis", ("degrees", 1), -1, "$.degrees[1]", "expected a degree >= 0, got -1"),
     ("basis", ("coaction", "4"), [], "$.coaction.4", "unknown label"),
     ("basis", ("coaction", "2", 1, "right"), 4, "$.coaction.2[1].right",
      "unknown label 4"),
+    ("basis", ("coaction", "2", 1, "right"), [4], "$.coaction.2[1].right",
+     "unknown label [4]"),
 ]
 
 

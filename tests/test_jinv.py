@@ -320,6 +320,13 @@ JINV_REFUSALS = [
      "J-tuple entry for e_4 must lie in 0..1, got 2"),
     ("member-length", lambda: ideal_member(catalog.get("e8.mod2"), (1, 1, 1, 1), (5,)),
      "monomial (5,) must be a length-4 exponent tuple"),
+    ("member-other-presentation",
+     lambda: ideal_member(catalog.get("e8.mod2"), (1, 1, 1, 1),
+                          catalog.get("e8.mod3").gen("e_10")),
+     "elements live over different presentations"),
+    ("maxima-other-presentation",
+     lambda: containment_maxima(catalog.get("e8.mod2"), catalog.get("e8.mod3").gen("e_10")),
+     "elements live over different presentations"),
     ("zero-element", lambda: jtuples_containing(catalog.get("e8.mod3"),
                                                 catalog.get("e8.mod3").zero()),
      "the zero element lies in every ideal"),
