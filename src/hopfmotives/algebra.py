@@ -548,6 +548,7 @@ class Bialgebra(Algebra):
         self.coproducts = {g.name: tuple(sorted((c, lm, rm) for (lm, rm), c in t.terms.items()))
                            for g, t in zip(self.generators, self._cop_images)}
         self._dual = None  # dual.DualAlgebra(self), built on first use
+        self._coefficient_generators = {}  # monomials -> dual.coefficient_generators
         self._quotients = {}  # J-tuple -> jinv.quotient_with_map(self, J)
         self._antipode_images = None
         self._antipode_cache = {self.unit_mono: self.one()}

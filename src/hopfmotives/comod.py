@@ -33,12 +33,24 @@ A J-quotient is read through the one map ``jinv.quotient_with_map`` returns:
 normal monomial.  ``restrict_comodule`` remaps each H-monomial once and
 normalizes nothing; ``quadric_comodule`` remaps its m classes e_i once.
 
+Coinvariants and comodule maps are exact on comodules whose coaction is
+counital and coassociative, as ``verify`` checks.  Let C be the subcoalgebra
+spanned by 1 and the H-monomials of rho on some labels, closed under Delta.
+The subcomodule those labels generate has its coaction in C (x) M, so it is
+a module over C^dual, f_h acting as the h-part of rho.  Hence x in their
+span is coinvariant exactly when f_1 fixes x and each f_h of a generating
+set G of C^dual kills it, and a map on them commutes with the coactions
+exactly when it commutes with f_1 and G.  ``dual.coefficient_generators``
+finds 1 and G on C alone, never on the whole of H, and keeps them on H; only
+the coaction terms h (x) b' with h among them enter the equations.  On a
+coaction that fails ``verify``, both answers are those of these terms only.
+
 Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one sparse row per
-coaction term of rho(b) - 1 (x) b, built with no zero entry and found by one
-``_linalg`` elimination, either globally or one degree at a time (reading
-that degree's labels off ``by_degree``).  The columns run in reverse label
-order, so the kernel basis, read backwards, is already the reduced row
-echelon basis in (degree, label) order that is returned.
+kept coaction term of rho(b) - 1 (x) b, built with no zero entry and found
+by one ``_linalg`` elimination, either globally or one degree at a time
+(reading that degree's labels off ``by_degree``).  The columns run in
+reverse label order, so the kernel basis, read backwards, is already the
+reduced row echelon basis in (degree, label) order that is returned.
 
 ``quadric_comodule(n, J)`` builds the cell comodule of an n-2 dimensional
 quadric over the quotient of the mod-2 Borel form of SO_n by a J-tuple:
@@ -52,7 +64,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from . import _linalg
+from . import _linalg, dual
 from .algebra import (Algebra, SchemaError, _check_keys, _check_rules,
                       _coassociative, _generator_images,
                       _generator_terms_from_json, _gens_from_json, _mod_sum,
@@ -221,12 +233,16 @@ def verify_comodule(M):
 def coinvariants(M, degree=None):
     """A canonical basis of {x : rho(x) = 1 (x) x}, as {label: coeff} dicts.
 
+    Exact when the coaction is counital and coassociative (``verify``): the
+    equations are the coaction terms h (x) b' of the labels solved for with
+    h = 1 or f_h among the generators of C^dual, C spanned by their
+    H-monomials closed under Delta (see the module docstring).  On a coaction
+    that fails ``verify`` the result is the kernel of those equations only.
     With ``degree`` given, the result is a basis of the coinvariants in the
-    span of the labels of that degree, exactly, for any coaction.  A coaction
-    that does not preserve degree can have coinvariants that mix degrees;
-    those lie in no single degree and appear only in the global answer.
-    Vectors are reduced row echelon over the labels in (degree, label) order,
-    sorted by pivot.
+    span of the labels of that degree.  A coaction that does not preserve
+    degree can have coinvariants that mix degrees; those lie in no single
+    degree and appear only in the global answer.  Vectors are reduced row
+    echelon over the labels in (degree, label) order, sorted by pivot.
     """
     H = M.H
     p, unit = H.prime, H.unit_mono
@@ -235,7 +251,8 @@ def coinvariants(M, degree=None):
     # non-pivot column f and nonzero elsewhere only at pivots below f, that
     # is at later labels, so read backwards the kernel basis is reduced
     cols = list(reversed(labels))
-    rows = {}  # coaction term -> {column: coefficient}
+    kept = dual.coefficient_generators(H, {k[0] for b in cols for k in M.coaction_vec(b)})
+    rows = {}  # kept coaction term -> {column: coefficient}
     for j, b in enumerate(cols):
         vec = M.coaction_vec(b)
         own = (unit, b)
@@ -244,6 +261,8 @@ def coinvariants(M, degree=None):
                 c -= 1
                 if not c % p:
                     continue
+            elif k[0] not in kept:
+                continue
             rows.setdefault(k, {})[j] = c
         if own not in vec:
             rows.setdefault(own, {})[j] = -1
@@ -321,16 +340,24 @@ def is_comodule_morphism(M, N, f):
     """Whether the linear map f: M -> N commutes with the coactions.
 
     ``f`` maps each M-label to a {N-label: coeff} dict (absent labels map to
-    zero).  Returns (ok, offending M-label or None).
+    zero).  Exact when both coactions are counital and coassociative
+    (``verify``): only the terms h (x) n' with h = 1 or f_h among the
+    generators of C^dual are compared, C spanned by the H-monomials of both
+    coactions closed under Delta (generators of C_M^dual and C_N^dual alone
+    need not generate it).  On a coaction that fails ``verify`` only those
+    terms are compared.  Returns (ok, first M-label where they differ, or
+    None).
     """
     if M.H != N.H:
         raise ValueError("morphisms require a common bialgebra")
     p = M.H.prime
+    kept = dual.coefficient_generators(M.H, {k[0] for X in (M, N) for lab in X.labels
+                                             for k in X.coaction_vec(lab)})
     for b in M.labels:
         lhs = _mod_sum(p, ((key, c * d) for nl, c in f.get(b, {}).items()
-                           for key, d in N.coaction_vec(nl).items()))
+                           for key, d in N.coaction_vec(nl).items() if key[0] in kept))
         rhs = _mod_sum(p, (((hm, nl), c * d) for (hm, ml), c in M.coaction_vec(b).items()
-                           for nl, d in f.get(ml, {}).items()))
+                           if hm in kept for nl, d in f.get(ml, {}).items()))
         if lhs != rhs:
             return False, b
     return True, None

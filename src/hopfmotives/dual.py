@@ -33,6 +33,11 @@ given by its structure constants: ``table[i][j]`` is the nonzero product
 b_i b_j, and it and every element are sparse {k: c} dicts, the row format
 of ``_linalg``.  Only ``Block.idempotent`` is a dense coordinate tuple.
 
+``coefficient_generators`` builds the same table on a Delta-closed set of
+monomials instead of the basis: the dual of the subcoalgebra they span,
+whose generators give the comodule equations of ``comod``.  Its answer is
+kept on the bialgebra per set of monomials asked about.
+
 What a call can already know is not computed again.  The dual table is
 built once per presentation and kept on the bialgebra, as its coproducts
 are; each call still finds its own centre, idempotents and characters.  A
@@ -138,16 +143,23 @@ class DualAlgebra(TableAlgebra):
     def __init__(self, B):
         self.B = B
         self.basis = B.basis()
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        index, table = self.index, [{} for _ in self.basis]
-        for k, m in enumerate(self.basis):
-            for (lm, rm), c in B.coproduct_mono(m).terms.items():
-                table[index[lm]].setdefault(index[rm], {})[k] = c
+        self.index, table = _dual_table(B, self.basis)
         super().__init__(B.prime, len(table),
                          self.dual_basis_vector(B.unit_mono), table)
 
     def dual_basis_vector(self, mono):
         return {self.index[tuple(mono)]: 1}
+
+
+def _dual_table(B, monos):
+    """({monomial: index}, table) of the dual of span(monos), which must be
+    closed under Delta: the b_k coefficient of f_i f_j is that of
+    m_i (x) m_j in Delta(m_k)."""
+    index, table = {m: i for i, m in enumerate(monos)}, [{} for _ in monos]
+    for k, m in enumerate(monos):
+        for (lm, rm), c in B.coproduct_mono(m).terms.items():
+            table[index[lm]].setdefault(index[rm], {})[k] = c
+    return index, table
 
 
 def _dual_algebra(B):
@@ -178,6 +190,37 @@ def _generators(A):
             spanned += sub.add_closure([A.multiply(b, v) for v in spanned],
                                        gens, A.multiply)
     return gens
+
+
+def coefficient_generators(B, monos):
+    """1 and the monomials h whose f_h generate the dual of C, as a frozenset:
+    C is the subcoalgebra spanned by the closure of ``monos`` and 1 under
+    taking both factors of each coproduct term.
+
+    C's dual is built on that closure alone, never on B's basis, with unit
+    f_1 (the counit is the coefficient of 1), and ``_generators`` picks G in
+    (degree, monomial) order.  A comodule whose coaction lies in C (x) M is
+    a module over C^dual, so G and the unit give all its equations.  The
+    answer is kept on B per set of monomials, as B's dual is.
+    """
+    key = frozenset(monos)
+    if key in B._coefficient_generators:
+        return B._coefficient_generators[key]
+    unit = B.unit_mono
+    closed = {unit, *key}
+    todo = list(closed)
+    while todo:
+        for pair in B.coproduct_mono(todo.pop()).terms:
+            for m in pair:
+                if m not in closed:
+                    closed.add(m)
+                    todo.append(m)
+    order = sorted(closed, key=lambda m: (B.degree_of(m), m))
+    index, table = _dual_table(B, order)
+    A = TableAlgebra(B.prime, len(order), {index[unit]: 1}, table)
+    out = B._coefficient_generators[key] = frozenset(
+        [unit] + [order[k] for g in _generators(A) for k in g])
+    return out
 
 
 def _abelianization(A):

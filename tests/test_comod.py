@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfmotives import _linalg, catalog
+from _borel import borel_bialgebras
+from hopfmotives import _linalg, catalog, dual
 from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
                                coinvariants, comodule_from_dict,
                                comodule_to_dict, is_comodule_morphism,
@@ -19,8 +21,8 @@ from hopfmotives.algebra import (Algebra, Bialgebra, GeneratorDecl,
                                  VerifyReport, bialgebra_from_dict,
                                  bialgebra_to_dict, gen_mono,
                                  primitive_bialgebra)
-from hopfmotives.jinv import (jset_to_tuple, quotient_with_map, so_borel,
-                              valid_jtuples)
+from hopfmotives.jinv import (is_bi_ideal, jset_to_tuple, quotient_with_map,
+                              so_borel, valid_jtuples)
 from hopfmotives.motdec import line_classes, partition_blocks
 
 from test_algebra import (NONCONFLUENT, NONCONFLUENT_ERROR, assert_extends,
@@ -255,7 +257,7 @@ def test_coaction_key_must_be_a_label():
 
 
 def test_tensor_square_global_coinvariants():
-    """The 13,220 x 3,136 system of the e7p7 tensor square: the global
+    """The 7,276 x 3,136 system of the e7p7 tensor square: the global
     coinvariants are the sum of the per-degree ones (this coaction keeps
     degree) and each vector x satisfies rho(x) = 1 (x) x."""
     M = catalog.get("e7p7.mod2")
@@ -349,6 +351,148 @@ def test_small_coinvariants_match_oracle():
     assert coinvariants(odd) == coinvariants(odd, 0) == [{"a": 1, "d": 1}]
     for M in (json_comodule_p3(), mixing, odd):
         assert_coinvariants_match_oracle(M)
+
+
+# -- equations on 1 and the generators of the coefficient coalgebra's dual --------
+
+def morphism_oracle(M, N, f):
+    """The M-labels b where (id (x) f) rho_M(b) and rho_N(f(b)) differ, over
+    every coaction term."""
+    p = M.H.prime
+    bad = []
+    for b in M.labels:
+        lhs, rhs = {}, {}
+        for nl, c in f.get(b, {}).items():
+            for key, d in N.coaction_vec(nl).items():
+                lhs[key] = (lhs.get(key, 0) + c * d) % p
+        for (hm, ml), c in M.coaction_vec(b).items():
+            for nl, d in f.get(ml, {}).items():
+                rhs[hm, nl] = (rhs.get((hm, nl), 0) + c * d) % p
+        if {k: c for k, c in lhs.items() if c} != {k: c for k, c in rhs.items() if c}:
+            bad.append(b)
+    return bad
+
+
+def assert_morphism_matches_oracle(M, N, f):
+    ok, offender = is_comodule_morphism(M, N, f)
+    bad = morphism_oracle(M, N, f)
+    assert ok == (not bad)
+    assert offender is None if ok else offender in bad
+
+
+def assert_equations_match_oracles(H, rng):
+    """On the regular comodule R of a verified H, its restrictions to the
+    bi-ideal J-tuples and, when R is small, its tensor square: coinvariants
+    against the all-rows oracle in every degree, and ``is_comodule_morphism``
+    against the all-terms oracle on
+    * maps between each comodule X and the trivial line, whose coefficient
+      coalgebra is the unit alone, so that only the union of both supports
+      gives X's equations: a random vector and a random coinvariant;
+    * the identity of X with one random entry changed;
+    * a right convolution h -> sum c phi(rm) lm over Delta(h), a morphism
+      of R for every phi, and a changed one."""
+    p = H.prime
+    R = regular_comodule(H)
+    comodules = [R] + [restrict_comodule(R, J) for J in valid_jtuples(H)
+                       if is_bi_ideal(H, J)[0]]
+    if R.rank() <= 9:
+        comodules.append(tensor_comodule(R, R))
+
+    def vector(labels):
+        return {lab: c for lab in labels if (c := rng.randrange(p))}
+
+    def changed(f, labels):
+        f = {b: dict(v) for b, v in f.items()}
+        b, b2 = rng.choice(labels), rng.choice(labels)
+        f.setdefault(b, {})[b2] = (f[b].get(b2, 0) + rng.randrange(1, p)) % p
+        return f
+
+    for X in comodules:
+        assert verify_comodule(X)
+        assert_coinvariants_match_oracle(X)
+        labels = list(X.labels)
+        line = BasisComodule(X.H, ["b"], {"b": 0}, {"b": [(1, X.H.unit_mono, "b")]})
+        invariant = {}
+        for v in coinvariants(X):
+            c = rng.randrange(p)
+            for lab, d in v.items():
+                invariant[lab] = (invariant.get(lab, 0) + c * d) % p
+        for vec in (vector(labels), invariant):
+            assert_morphism_matches_oracle(line, X, {"b": vec})
+            assert_morphism_matches_oracle(X, line, {lab: {"b": c} for lab, c in vec.items()})
+        assert_morphism_matches_oracle(X, X, changed({b: {b: 1} for b in labels}, labels))
+    phi = {m: rng.randrange(p) for m in R.labels}
+    conv = {}
+    for h in R.labels:
+        image = conv[h] = {}
+        for (lm, rm), c in H.coproduct_mono(h).terms.items():
+            image[lm] = (image.get(lm, 0) + c * phi[rm]) % p
+    assert is_comodule_morphism(R, R, conv) == (True, None)
+    assert_morphism_matches_oracle(R, R, changed(conv, list(R.labels)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(borel_bialgebras(), st.randoms(use_true_random=False))
+def test_generator_equations_match_all_rows_on_random_bialgebras(H, rng):
+    """Draws that fail ``verify`` are skipped: the equations are exact only
+    on counital, coassociative coactions."""
+    if H.verify():
+        assert_equations_match_oracles(H, rng)
+
+
+@pytest.mark.parametrize("key", ["e7sc.mod2", "e8.mod3", "k0.pgl3", "e8.mod2"])
+def test_generator_equations_match_all_rows_on_catalog_bialgebras(key):
+    assert_equations_match_oracles(catalog.get(key), random.Random(key))
+
+
+def test_coefficient_coalgebra_closes_the_coaction_monomials():
+    """Over F_2[x, y]/(x^4, y^2), x primitive and Delta y = y (x) 1 +
+    x^2 (x) x + x (x) x^2 + 1 (x) y, the coefficient x^3 + y is primitive, so
+    rho(b) = 1 (x) b + (x^3 + y) (x) a is a comodule.  Its H-monomials are
+    not closed under Delta: x and x^2 enter only through Delta(x^3) and
+    Delta(y).  In the dual of their closure f_x f_x^2 = f_x^3 + f_y, so
+    G = {x, x^2, y}."""
+    one, x, x2, x3, y = (0, 0), (1, 0), (2, 0), (3, 0), (0, 1)
+    H = Bialgebra(2, (GeneratorDecl("x", 1, 4), GeneratorDecl("y", 3, 2)), (),
+                  {"x": [(1, x, one), (1, one, x)],
+                   "y": [(1, y, one), (1, x2, x), (1, x, x2), (1, one, y)]})
+    M = BasisComodule(H, "ab", {"a": 0, "b": 3},
+                      {"a": [(1, one, "a")], "b": [(1, one, "b"), (1, x3, "a"), (1, y, "a")]})
+    assert verify_comodule(M)
+    assert dual.coefficient_generators(H, {x3, y}) == {one, x, x2, y}
+    assert coinvariants(M) == coinvariants_oracle(M) == [{"a": 1}]
+    line = BasisComodule(H, ["b"], {"b": 0}, {"b": [(1, one, "b")]})
+    for vec in ({"a": 1}, {"b": 1}):
+        assert_morphism_matches_oracle(line, M, {"b": vec})
+
+
+def test_coinvariants_build_no_dual_of_the_whole_bialgebra(monkeypatch):
+    """The quadric of dimension 159 lives over a J-quotient of so_borel(161)
+    with 40 generators, of dimension 2^40; its coinvariants read only the
+    coefficient coalgebra of the coaction."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Algebra, "basis", lambda self: pytest.fail("basis enumerated"))
+        patch.setattr(dual, "DualAlgebra", lambda B: pytest.fail("dual of H built"))
+        M = quadric_comodule(161, (1,) * 40)
+        got = coinvariants(M)
+    assert got == coinvariants_oracle(M)
+
+
+def test_tensor_square_degrees_hand_the_kernel_only_the_kept_rows(monkeypatch):
+    """The 55 degree calls on the e7p7.mod2 square hand ``kernel_basis``
+    7,276 rows in all, against 13,220 rows with every coaction term."""
+    M = catalog.get("e7p7.mod2")
+    T = tensor_comodule(M, M)
+    sizes = []
+    kernel_basis = _linalg.kernel_basis
+
+    def counting(rows, ncols, p):
+        sizes.append(len(rows))
+        return kernel_basis(rows, ncols, p)
+    monkeypatch.setattr(_linalg, "kernel_basis", counting)
+    for d in T.by_degree:
+        coinvariants(T, d)
+    assert len(sizes) == 55 and sum(sizes) == 7276
 
 
 # -- the graded End system of a block ---------------------------------------------

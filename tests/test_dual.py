@@ -450,6 +450,19 @@ def test_abelianization_of_a_group_algebra_is_that_of_the_group(p, gens):
 
 
 @pytest.mark.parametrize("key", BIALGEBRA_KEYS)
+def test_coefficient_generators_of_the_whole_basis_are_those_of_the_dual(key):
+    """Read off all of B, the coefficient coalgebra is B, and its table is
+    the kept dual's, in the same order: the same generators come back,
+    beside the unit."""
+    B = catalog.get(key)
+    D = dual._dual_algebra(B)
+    found = dual.coefficient_generators(B, B.basis())
+    assert found == {B.unit_mono} | {D.basis[k] for g in _generators(D) for k in g}
+    sizes = {"e7sc.mod2": 3, "e8.mod3": 2, "e8.mod2": 6}
+    assert key not in sizes or len(found) == sizes[key] + 1
+
+
+@pytest.mark.parametrize("key", BIALGEBRA_KEYS)
 def test_grouplikes_contain_one_and_are_closed_under_product(key):
     B = catalog.get(key)
     listed = {frozenset(g.terms.items()) for g in B.find_grouplikes()}

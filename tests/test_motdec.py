@@ -9,7 +9,8 @@ import pytest
 
 from hopfmotives import catalog
 from hopfmotives.algebra import Algebra
-from hopfmotives.comod import quadric_comodule, tensor_comodule
+from hopfmotives.comod import (quadric_comodule, restrict_comodule,
+                               tensor_comodule)
 from hopfmotives.jinv import (PoincarePoly, borel_exponents, fpoin,
                               is_bi_ideal, jset_to_tuple, so_borel,
                               tuple_to_jset, valid_jtuples)
@@ -20,7 +21,8 @@ from hopfmotives.motdec import (closed_form_quadric_edges, direct_edges,
                                 top_ideal_monomial, transitive_closure,
                                 twist_multiset)
 
-from test_comod import mixed_json_comodule, trivial_line
+from test_comod import mixed_json_comodule, regular_comodule, trivial_line
+from test_linalg import oracle_rref
 
 
 def test_transitive_closure():
@@ -110,6 +112,34 @@ def test_rpe_family_for_the_e8_cell_comodule():
 def test_rpe_empty_for_the_e7_cell_comodule():
     M = catalog.get("e7p7.mod2")
     assert rpe_summands(M, (1, 1, 1)) == []
+
+
+def rpe_oracle(M, J):
+    """The pairs read off M restricted to the quotient, at E_J there, each
+    beta kept when its alpha raises the rank of those kept before."""
+    Mq, ej, p = restrict_comodule(M, J), top_ideal_monomial(M.H, J), M.H.prime
+    picked, rows = [], []
+    for b in M.position:
+        alpha = {lab: c for (hm, lab), c in Mq.coaction_vec(b).items() if hm == ej}
+        row = {M.position[lab]: c for lab, c in alpha.items()}
+        if alpha and len(oracle_rref(rows + [row], M.rank(), p)[0]) > len(rows):
+            picked.append((b, alpha))
+            rows.append(row)
+    return picked
+
+
+def test_rpe_matches_the_restricted_coaction():
+    """Every J-tuple of both catalog cell comodules, and every bi-ideal
+    J-tuple of the quadric comodules over so_borel(7) and so_borel(8)."""
+    cases = [(catalog.get(key), J) for key in ("e7p7.mod2", "e8p8.mod3")
+             for J in valid_jtuples(catalog.get(key).H)]
+    for n in (7, 8):
+        for J in valid_jtuples(so_borel(n)):
+            M = quadric_comodule(n, J)
+            cases += [(M, J2) for J2 in valid_jtuples(M.H) if is_bi_ideal(M.H, J2)[0]]
+    assert len(cases) == 12 + 36
+    for M, J in cases:
+        assert rpe_summands(M, J) == rpe_oracle(M, J), J
 
 
 def test_rpe_zero_tuple_returns_everything():
@@ -210,6 +240,10 @@ MOTDEC_REFUSALS = [
     ("bialgebras",
      lambda: rank1_isomorphic(trivial_line("k0.pgl2"), trivial_line("k0.pgl3")),
      "comodules live over different bialgebras"),
+    ("rpe-bi-ideal",
+     lambda: rpe_summands(regular_comodule(catalog.get("e8.mod2")), (3, 2, 1, 0)),
+     "J-tuple (3, 2, 1, 0) does not cut out a bi-ideal: coproduct of e_15 has "
+     "the term e_9⊗e_3^2 outside B⊗J + J⊗B"),
 ]
 
 
