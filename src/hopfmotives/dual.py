@@ -27,8 +27,8 @@ ideal is the commutator span closed under left multiplication by a
 generating set G of H^dual, the basis vectors kept in index order that the
 earlier ones do not generate: about dim |G| + dim I |G| products in all.  C
 is commutative, so each block is local and carries at most one character: on
-a block e with residue field F_p, chi(f) e = (f e)^(p^K) once p^K is at
-least the block's dimension.  Both run on ``TableAlgebra``, an algebra
+a block e with residue field F_p, chi(f) e = (f e)^(p^K) = f^(p^K) e once p^K
+is at least the block's dimension.  Both run on ``TableAlgebra``, an algebra
 given by its structure constants: ``table[i][j]`` is the nonzero product
 b_i b_j, and it and every element are sparse {k: c} dicts, the row format
 of ``_linalg``.  Only ``Block.idempotent`` is a dense coordinate tuple.
@@ -40,12 +40,18 @@ kept on the bialgebra per set of monomials asked about.
 
 What a call can already know is not computed again.  The dual table is
 built once per presentation and kept on the bialgebra, as its coproducts
-are; each call still finds its own centre, idempotents and characters.  A
-``TableAlgebra`` scans its commutators once, for both ``_centre`` and
-``_abelianization``.  A commutative A is its own abelianization, so its
-table is not copied.  The last block's dimension is dim D less the others':
-the idempotents are already checked to split the unit into orthogonal
-parts.
+are, and a ``TableAlgebra`` keeps its structure: its commutators, scanned
+once for both, its centre and its abelianization (C and the projection).
+A commutative A is its own abelianization, so its table is not copied and
+``grouplikes`` splits the very centre ``decompose`` kept.  Answers are not
+kept: each call finds its own Frobenius fixed space, idempotents, block
+labels and characters and runs ``_sanity_check`` and the group-like check
+on them, so every answer is checked where it is given, and no caller holds
+a list that a later call returns.  What stays per call is cut instead: the
+Lagrange loop stops at the block count, and one Frobenius image per basis
+vector serves every block's character.  The last block's dimension is
+dim D less the others': the idempotents are already checked to split the
+unit into orthogonal parts.
 """
 
 from __future__ import annotations
@@ -84,6 +90,17 @@ class TableAlgebra:
                 elif j < i and ji is None:
                     out[j, i] = _sum(p, (-1, ij))
         return out
+
+    @cached_property
+    def centre(self):
+        """A basis of the centre, found once per algebra (``_centre``)."""
+        return _centre(self)
+
+    @cached_property
+    def abelianization(self):
+        """(C, proj) for C = A / A [A, A], found once per algebra
+        (``_abelianization``)."""
+        return _abelianization(self)
 
     def multiply(self, u, v):
         p, table = self.p, self.table
@@ -297,15 +314,26 @@ def _centre(A):
 
 
 def _block_idempotents(A):
-    """Central primitive idempotents of A, in no fixed order."""
+    """Central primitive idempotents of A, in no fixed order.
+
+    The centre Z is the direct sum of its local blocks Z e, and on each the
+    solutions of z^p = z are the line F_p e: such a z less c e, for c its
+    residue (in F_p, as c^p = c), is fixed and in the maximal ideal, hence
+    nilpotent and equal to its own p^n-th power, 0.  So the fixed space has
+    one dimension per block (Berlekamp).  Once the split holds that many
+    idempotents, every later s is constant on each block and splits
+    nothing, so the loop stops there with the same list in the same order.
+    """
     p, unit = A.p, A.unit
-    centre = _centre(A)
+    centre = A.centre
     # the fixed space of Frobenius on Z: the relations among the z^p - z
     fixed = [_sum(p, *((a, centre[n]) for n, a in coeffs.items()))
              for coeffs in _relations([_sum(p, (1, A.power(z, p)), (-1, z))
                                        for z in centre], p)]
     idempotents = [unit]
     for s in fixed:
+        if len(idempotents) == len(fixed):
+            break
         # 1 - (s - c)^(p-1) is the sum of the blocks on which s equals c
         lagrange = [_sum(p, (1, unit),
                          (-1, A.power(_sum(p, (1, s), (-c, unit)), p - 1)))
@@ -316,25 +344,42 @@ def _block_idempotents(A):
     return idempotents
 
 
-def _character(A, e, size):
-    """The coefficients chi(b_k) of the character on block e, or None if it
-    has none.
+def _frobenius_images(A, size):
+    """Phi(b_m) = b_m^(p^K) for each basis vector, for the least p^K >= size
+    (p-th powers K times, stopping at 0)."""
+    p = A.p
+    steps = next(k for k in range(size + 1) if p ** k >= size)
+    out = []
+    for m in range(A.dim):
+        x = {m: 1}
+        for _ in range(steps):
+            if not x:
+                break
+            x = A.power(x, p)
+        out.append(x)
+    return out
 
-    ``size`` bounds the block's dimension: chi(f) e = (f e)^(p^K) for the
-    least p^K >= size, and a block whose residue field is larger than F_p
-    gives no multiple of e.
+
+def _character(A, e, images):
+    """The coefficients chi(b_k) of the character on block e, or None if it
+    has none: ``images[k] e`` must be chi(b_k) e.
+
+    On a commutative A, ``images`` comes from ``_frobenius_images(A, size)``
+    with size at least the block's dimension.  Frobenius is then a ring
+    endomorphism and e^p = e, so Phi(b_k) e = (b_k e)^(p^K): one image per
+    basis vector serves every block.  If the block's residue field is F_p,
+    b_k e = chi(b_k) e + n with n nilpotent of index at most p^K, and the
+    power is chi(b_k) e; if it is larger, some b_k has a residue outside
+    F_p and its power is no multiple of e.  The unit vectors as ``images``
+    (K = 0) read chi off b_k e, which is exact on a one-dimensional block of
+    any A.
     """
     p = A.p
     pivot = min(e)
     inv = pow(e[pivot], -1, p)
-    frobenius_steps = next(k for k in range(size + 1) if p ** k >= size)
     chi = []
-    for m in range(A.dim):
-        x = A.multiply({m: 1}, e)
-        for _ in range(frobenius_steps):
-            if not x:
-                break
-            x = A.power(x, p)
+    for x in images:
+        x = A.multiply(x, e)
         c = x.get(pivot, 0) * inv % p
         if x != _sum(p, (c, e)):
             return None
@@ -347,10 +392,11 @@ def grouplikes(B):
     abelianization C of H^dual with residue field F_p, its character pulled
     back to H^dual (see the module docstring)."""
     D = _dual_algebra(B)
-    C, proj = _abelianization(D)
+    C, proj = D.abelianization
+    images = _frobenius_images(C, C.dim)
     out = []
     for e in _block_idempotents(C):
-        chi = _character(C, e, C.dim)
+        chi = _character(C, e, images)
         if chi is None:
             continue
         g = B.element({m: sum(d * chi[n] for n, d in proj[k].items())
@@ -377,7 +423,8 @@ def _label_blocks(D, idempotents):
         if e.get(D.index[D.B.unit_mono]) == 1:
             label = "tate"
         elif dim == 1:
-            label = f"g:{D.B.element(dict(zip(D.basis, _character(D, e, 1))))}"
+            chi = _character(D, e, [{m: 1} for m in range(D.dim)])
+            label = f"g:{D.B.element(dict(zip(D.basis, chi)))}"
         else:
             label = f"dim:{dim}"
         blocks.append(Block(dim, label, tuple(e.get(k, 0) for k in range(D.dim))))

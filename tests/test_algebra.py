@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from _borel import borel_bialgebras
+from _borel import borel_bialgebras, noncocommutative_bialgebras
 from hopfmotives import _linalg, algebra, catalog
 from hopfmotives.algebra import (Algebra, Bialgebra, Element, GeneratorDecl,
                                  RewriteRule, SchemaError, TensorElement,
@@ -443,6 +443,13 @@ def test_antipode_convolution_identity_on_random_bialgebras(B):
     """Most draws break coassociativity or the counit law; only the draws
     that verify are bialgebras with an antipode."""
     assume(verify_bialgebra(B))
+    assert_antipode_identity(B)
+
+
+@settings(max_examples=15, deadline=None)
+@given(noncocommutative_bialgebras())
+def test_antipode_convolution_identity_on_noncocommutative_bialgebras(B):
+    """Draws that all verify, with coproducts beyond the primitive terms."""
     assert_antipode_identity(B)
 
 

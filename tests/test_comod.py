@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _borel import borel_bialgebras
+from _borel import borel_bialgebras, noncocommutative_bialgebra
 from hopfmotives import _linalg, catalog, dual
 from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
                                coinvariants, comodule_from_dict,
@@ -433,9 +433,14 @@ def assert_equations_match_oracles(H, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(borel_bialgebras(), st.randoms(use_true_random=False))
+@example(noncocommutative_bialgebra(2, [1, 1], [{(0, 1): 1}], True), random.Random(0))
+@example(noncocommutative_bialgebra(2, [1, 1, 2], [{(0, 1): 1}, {(0, 2): 1}]),
+         random.Random(1))
+@example(noncocommutative_bialgebra(3, [1, 1], [{(0, 1): 1}]), random.Random(2))
 def test_generator_equations_match_all_rows_on_random_bialgebras(H, rng):
     """Draws that fail ``verify`` are skipped: the equations are exact only
-    on counital, coassociative coactions."""
+    on counital, coassociative coactions.  Few draws that pass are not
+    primitive, so the examples add three non-cocommutative ones."""
     if H.verify():
         assert_equations_match_oracles(H, rng)
 

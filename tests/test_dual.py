@@ -13,19 +13,21 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from _borel import borel_bialgebras, borel_catalog_keys
+from _borel import (borel_bialgebras, borel_catalog_keys,
+                    noncocommutative_bialgebra, noncocommutative_bialgebras)
 from hopfmotives import catalog, dual
 from hopfmotives.algebra import (Bialgebra, Element, GeneratorDecl,
                                  TensorElement)
 from hopfmotives._linalg import Echelon, kernel_basis, rref
 from hopfmotives.dual import (DualAlgebra, TableAlgebra, _abelianization,
                               _block_idempotents, _centre, _character,
-                              _generators, _sum, decompose, dual_presentation,
-                              grouplikes, tate_block)
+                              _frobenius_images, _generators, _relations, _sum,
+                              decompose, dual_presentation, grouplikes,
+                              tate_block)
 from hopfmotives.jinv import (borel_exponents, is_bi_ideal, quotient_bialgebra,
                               quotient_with_map, valid_jtuples)
 
@@ -441,6 +443,7 @@ def test_abelianization_of_a_group_algebra_is_that_of_the_group(p, gens):
                    for g in G for h in G}
     A = group_algebra(p, G)
     assert _abelianization(A)[0].dim == len(G) // len(permutation_group(commutators, 4))
+    assert_the_cuts_change_no_answer(A)
     found = _generators(A)
     assert len(subalgebra(A, found)) == A.dim
     for m in range(A.dim):
@@ -769,25 +772,33 @@ def test_every_block_dimension_is_the_rank_of_its_idempotent(monkeypatch):
 def grouplikes_through_a_copy(B):
     """The group-likes as found when a commutative dual's abelianization was
     a copy of its table: the characters of the blocks of that copy, pulled
-    back through the identity."""
+    back through the identity, split and read by the oracles below."""
     D = DualAlgebra(B)
     C = TableAlgebra(D.p, D.dim, dict(D.unit),
                      [{j: dict(w) for j, w in row.items()} for row in D.table])
-    chars = (_character(C, e, C.dim) for e in _block_idempotents(C))
+    chars = (character_per_block(C, e, C.dim)
+             for e in block_idempotents_by_every_s(C)[0])
     return sorted((B.element(dict(zip(D.basis, chi)))
                    for chi in chars if chi is not None),
                   key=lambda g: sorted(g.terms.items()))
 
 
-@pytest.mark.parametrize("key", ["e8.mod3", "so7.mod2", "k0.pgl3"])
-def test_a_commutative_dual_is_its_own_abelianization(key):
+@pytest.mark.parametrize("key", ["e8.mod3", "so7.mod2", "k0.pgl3", "k0.pgl5"])
+def test_a_commutative_dual_is_its_own_abelianization(monkeypatch, key):
+    """So grouplikes after decompose splits the centre decompose kept: it
+    finds no new centre."""
     B = catalog.get(key)
     A = DualAlgebra(B)
     C, proj = _abelianization(A)
     assert C is A
     assert proj == [{k: 1} for k in range(A.dim)]
-    assert [g.terms for g in grouplikes(B)] == \
-        [g.terms for g in grouplikes_through_a_copy(B)]
+    B._dual = None
+    decompose(B)
+    calls = count_structure_builds(monkeypatch)
+    gs = [g.terms for g in grouplikes(B)]
+    assert calls == ["abelianization"]
+    assert B._dual.abelianization[0] is B._dual
+    assert gs == [g.terms for g in grouplikes_through_a_copy(B)]
 
 
 @pytest.mark.parametrize("key", ["k0.pgl5", "e8.mod3", "e8.mod2"])
@@ -810,9 +821,12 @@ def test_a_second_call_builds_no_dual(monkeypatch, key):
     assert sorted(asked) == sorted(m for g in gs for m in g.terms)
 
 
-def test_a_kept_dual_answers_as_a_fresh_one():
+def test_a_kept_dual_answers_as_a_fresh_one(monkeypatch):
     """decompose and grouplikes give the same blocks and group-likes whether
-    the call builds B's dual or reads the one an earlier call kept."""
+    the call builds B's dual or reads the one an earlier call kept; once
+    both have run on the kept dual, neither finds its centre or its
+    abelianization again."""
+    calls = count_structure_builds(monkeypatch)
     for B in catalog_and_e8_mod2_quotients():
         B._dual = None
         blocks = block_record(decompose(B))
@@ -820,5 +834,165 @@ def test_a_kept_dual_answers_as_a_fresh_one():
         gs = [g.terms for g in grouplikes(B)]
         kept = B._dual
         assert block_record(decompose(B)) == blocks
-        assert [g.terms for g in grouplikes(B)] == gs
+        calls.clear()
+        assert answers(B) == (blocks, gs)
+        assert calls == []
         assert B._dual is kept
+
+
+# -- kept structure, and the two cuts that stay per call ------------------------------
+
+def block_idempotents_by_every_s(A):
+    """``_block_idempotents`` without its stop at the block count: the unit
+    split by the Lagrange idempotents of every s of the fixed-space basis.
+    Also returns how many s split nothing."""
+    p, unit = A.p, A.unit
+    centre = _centre(A)
+    fixed = [_sum(p, *((a, centre[n]) for n, a in coeffs.items()))
+             for coeffs in _relations([_sum(p, (1, A.power(z, p)), (-1, z))
+                                       for z in centre], p)]
+    idempotents, idle = [unit], 0
+    for s in fixed:
+        lagrange = [_sum(p, (1, unit),
+                         (-1, A.power(_sum(p, (1, s), (-c, unit)), p - 1)))
+                    for c in range(p)]
+        split = [f for e in idempotents for L in lagrange
+                 if (f := A.multiply(e, L))]
+        idle += len(split) == len(idempotents)
+        idempotents = split
+    return idempotents, idle
+
+
+def character_per_block(A, e, size):
+    """``_character`` as it was before one Frobenius image per basis vector
+    served every block: (b_m e)^(p^K) for each basis vector, per block."""
+    p = A.p
+    pivot = min(e)
+    inv = pow(e[pivot], -1, p)
+    frobenius_steps = next(k for k in range(size + 1) if p ** k >= size)
+    chi = []
+    for m in range(A.dim):
+        x = A.multiply({m: 1}, e)
+        for _ in range(frobenius_steps):
+            if not x:
+                break
+            x = A.power(x, p)
+        c = x.get(pivot, 0) * inv % p
+        if x != _sum(p, (c, e)):
+            return None
+        chi.append(c)
+    return chi
+
+
+def assert_the_cuts_change_no_answer(A):
+    """On A and on its abelianization C, the split that stops at the block
+    count gives the idempotents of the split by every s, in the same order.
+    On C each block's character, read off one Frobenius image per basis
+    vector, is the one read off (b_m e)^(p^K); on A the K = 0 reading, as
+    block labels use it, is that of b_m e.  Returns (s skipped, characters
+    found)."""
+    C = A.abelianization[0]
+    idle = 0
+    for X in (A, C):
+        want, skipped = block_idempotents_by_every_s(X)
+        assert _block_idempotents(X) == want
+        idle += skipped
+    units = [{m: 1} for m in range(A.dim)]
+    for e in _block_idempotents(A):
+        assert _character(A, e, units) == character_per_block(A, e, 1)
+    images = _frobenius_images(C, C.dim)
+    blocks = _block_idempotents(C)
+    chars = [_character(C, e, images) for e in blocks]
+    assert chars == [character_per_block(C, e, C.dim) for e in blocks]
+    return idle, sum(chi is not None for chi in chars)
+
+
+def test_the_cuts_change_no_answer_on_the_catalog_and_e8_mod2_quotients():
+    """Over the 63 duals, some s would have split nothing, and some blocks
+    of the abelianizations carry characters: neither check is empty."""
+    idle = chars = 0
+    for B in catalog_and_e8_mod2_quotients():
+        skipped, found = assert_the_cuts_change_no_answer(dual._dual_algebra(B))
+        idle, chars = idle + skipped, chars + found
+    assert idle > 0 and chars > 63
+
+
+@pytest.mark.parametrize("A", [DualAlgebra(skew_bialgebra(p)) for p in (2, 3, 5)]
+                         + [s3_group_algebra(p)[0] for p in (3, 5)],
+                         ids=["skew2", "skew3", "skew5", "s3-3", "s3-5"])
+def test_the_cuts_change_no_answer_on_noncommutative_algebras(A):
+    assert A.commutators
+    assert_the_cuts_change_no_answer(A)
+
+
+def centre_by_brackets(A):
+    """The kernel of u -> (u b_j - b_j u)_j, its rows read off the table
+    for every pair of basis vectors rather than off ``commutators``."""
+    rows = {}   # (j, k) -> {i: (b_i b_j - b_j b_i)_k}
+    for i in range(A.dim):
+        for j in range(i + 1, A.dim):
+            bracket = _sum(A.p, (1, A.table[i].get(j, {})),
+                           (-1, A.table[j].get(i, {})))
+            for k, c in bracket.items():
+                rows.setdefault((j, k), {})[i] = c
+                rows.setdefault((i, k), {})[j] = A.p - c
+    return kernel_basis(list(rows.values()), A.dim, A.p)
+
+
+def count_structure_builds(monkeypatch):
+    """Patch ``_centre`` and ``_abelianization`` to log each run."""
+    calls = []
+    centre, abelianization = dual._centre, dual._abelianization
+    monkeypatch.setattr(dual, "_centre",
+                        lambda A: calls.append("centre") or centre(A))
+    monkeypatch.setattr(dual, "_abelianization",
+                        lambda A: calls.append("abelianization") or abelianization(A))
+    return calls
+
+
+def answers(B):
+    return block_record(decompose(B)), [g.terms for g in grouplikes(B)]
+
+
+@pytest.mark.parametrize("key", ["k0.pgl5", "k2.e8.mod5.a4", "e8.mod2"])
+def test_mutating_an_answer_changes_no_later_answer(key):
+    B = catalog.get(key)
+    blocks, gs = decompose(B), grouplikes(B)
+    want = (block_record(blocks), [dict(g.terms) for g in gs])
+    for b in blocks:
+        b.dim, b.label, b.idempotent = 0, "mutated", ()
+    for g in gs:
+        g.terms.clear()
+    blocks.reverse()
+    gs.append(B.one())
+    assert answers(B) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(noncocommutative_bialgebras())
+@example(noncocommutative_bialgebra(2, [1, 1], [{(0, 1): 1}]))   # 8-dimensional
+@example(noncocommutative_bialgebra(3, [1, 1], [{(0, 1): 2, (1, 0): 1}], True))
+def test_kept_structure_on_noncocommutative_bialgebras(B):
+    """The dual is not commutative.  Kept answers equal fresh ones, the
+    kept centre is central and the whole kernel of the bracket maps (a sign
+    error in ``_centre`` at p > 2 shrinks it), every character is
+    group-like, the cuts change no answer, and where p^dim is small the
+    blocks and group-likes are those of the exhaustive searches."""
+    D = dual._dual_algebra(B)
+    assert D.commutators
+    first = answers(B)
+    assert answers(B) == first
+    B._dual = None
+    assert answers(B) == first
+    D = B._dual
+    assert all(is_central(D, z) for z in D.centre)
+    assert rref(D.centre, D.dim, D.p) == rref(centre_by_brackets(D), D.dim, D.p)
+    assert len(D.centre) < D.dim
+    for g in grouplikes(B):
+        assert B.counit(g) == 1 and B.coproduct(g) == square(g)
+    assert_the_cuts_change_no_answer(D)
+    if B.prime ** D.dim <= ORACLE_BOUND:
+        assert sorted(b.idempotent for b in decompose(B)) == \
+            sorted(brute_idempotents(D))
+        assert [g.terms for g in grouplikes(B)] == \
+            [g.terms for g in brute_grouplikes(B)]
