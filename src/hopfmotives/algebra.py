@@ -21,20 +21,23 @@ whose monomials are (left, right) pairs normalized and multiplied factor by
 factor, and a ``TensorElement`` is an ``Element`` over the latter.
 
 ``_mod_sum`` is the one home of the sparse F_p term sum "accumulate
-{key: c}, reduce mod p, drop zeros" that element arithmetic, the law
-checks and ``dual`` share; only the hot kernels (``comod.tensor_comodule``,
-``dual.TableAlgebra.multiply`` and ``_linalg.Echelon.add``) keep loops of
-their own.  A sum of many elements, such as the coproduct or antipode of an
-n-term element, the convolution powers behind the antipode, or a counit law,
-is one ``Element._normal`` pass over all their terms, not a running sum
-that is rebuilt once per term.  ``_coassociative`` and
-``_check_rules`` are the one coassociativity test and the one rewrite-rule
-loop, for the coproduct (``verify_bialgebra``) and for coactions (``comod``).
-Each presentation keeps one product table: ``mul_mono(a, b)`` normalizes
-the exponent sum of a pair once and looks the pair up after that, so element
-and tensor products, and through them the coproduct, coaction and antipode
-tables, compute each monomial product once per algebra.  ``Element._normal``
-sums terms that are already normal, such as the table's products, without
+{key: c}, reduce mod p, drop zeros" that element sums, the law checks and
+``dual`` share; only the hot kernels (the element product ``_product``,
+``comod.tensor_comodule``, ``dual.TableAlgebra.multiply`` and
+``_linalg.Echelon.add``) keep loops of their own.  A sum of many elements,
+such as the coproduct or antipode of an n-term element, the convolution
+powers behind the antipode, or a counit law, is one ``Element._normal``
+pass over all their terms, not a running sum that is rebuilt once per
+term.  ``_coassociative`` and ``_check_rules`` are the one coassociativity
+test and the one rewrite-rule loop, for the coproduct
+(``verify_bialgebra``) and for coactions (``comod``).  Each presentation
+keeps one product table: ``mul_mono(a, b)`` normalizes the exponent sum of
+a pair once and looks the pair up after that, so ``_product``, the one
+kernel of element and tensor products and, through
+``extend_multiplicatively``, of the coproduct, coaction and antipode
+tables, computes each monomial product once per algebra.  Rules match on
+the support of their source (``_first_rule``).  ``Element._normal`` sums
+terms that are already normal, such as the table's products, without
 normalizing them again.
 
 ``_terms_str`` is the one home of the display format "c*term + ..." that
@@ -119,6 +122,7 @@ def extend_multiplicatively(cache, images, mono):
     A loop lowers the last nonzero exponent until it meets a cached tuple,
     then multiplies back up by one generator image per step and caches each
     step, so every new monomial costs one product and g^k is ((1 g) g) ... g.
+    A step is one unchecked ``_product``: images and memo share a presentation.
     """
     path, cur = [], tuple(mono)
     while cur not in cache:
@@ -130,8 +134,38 @@ def extend_multiplicatively(cache, images, mono):
     value = cache[cur]
     for i in reversed(path):
         cur = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
-        value = cache[cur] = value * images[i]
+        value = cache[cur] = _product(value, images[i])
     return value
+
+
+def _product(x, y):
+    """x*y over the presentation of both, unchecked, in the class of x:
+    term pairs summed in one dict, reduced mod p once.  A unit factor of a
+    tensor term takes the other factor as it is (terms are normal)."""
+    alg, acc = x.alg, {}
+    get = acc.get
+    if type(alg) is TensorProduct:
+        lmul, rmul = alg.left.mul_mono, alg.right.mul_mono
+        lu, ru = alg.unit_mono
+        for (la, ra), ca in x.terms.items():
+            for (lb, rb), cb in y.terms.items():
+                kl, lm = (1, lb) if la == lu else (1, la) if lb == lu else lmul(la, lb)
+                if lm is not None:
+                    kr, rm = (1, rb) if ra == ru else (1, ra) if rb == ru else rmul(ra, rb)
+                    if rm is not None:
+                        key = lm, rm
+                        acc[key] = get(key, 0) + ca * cb * kl * kr
+    else:
+        mul = alg.mul_mono
+        for ma, ca in x.terms.items():
+            for mb, cb in y.terms.items():
+                k, m = mul(ma, mb)
+                if m is not None:
+                    acc[m] = get(m, 0) + ca * cb * k
+    out = x.__new__(type(x))
+    out.alg, p = alg, alg.prime
+    out.terms = {m: c % p for m, c in acc.items() if c % p}
+    return out
 
 
 def _mod_sum(p, pairs):
@@ -192,6 +226,8 @@ class Algebra:
         self._degrees = tuple(g.degree for g in generators)
         self.unit_mono = (0,) * len(generators)
         self._compiled = self._compile_rules()
+        self._supports = tuple((tuple((i, s) for i, s in enumerate(r.source) if s), r)
+                               for r in self._compiled)
         self._nf_cache = {}
         self._products = {}  # (a, b) -> mul_mono(a, b)
         self._basis_cache = None
@@ -276,26 +312,28 @@ class Algebra:
             _check_exponents(mono, self.ngens)
         coeff, cur = 1, mono
         for _ in range(100_000):
-            for rule in self._compiled:
-                if all(c >= s for c, s in zip(cur, rule.source)):
-                    if rule.target is None:
-                        result = (0, None)
-                        self._nf_cache[mono] = result
-                        return result
-                    coeff = coeff * rule.coeff % self.prime
-                    cur = tuple(c - s + t for c, s, t in
-                                zip(cur, rule.source, rule.target))
-                    break
-            else:
-                result = (coeff, cur)
-                self._nf_cache[mono] = result
+            rule = self._first_rule(cur)
+            if rule is None or rule.target is None:
+                result = self._nf_cache[mono] = (coeff, cur) if rule is None else (0, None)
                 return result
+            coeff = coeff * rule.coeff % self.prime
+            cur = tuple(c - s + t for c, s, t in zip(cur, rule.source, rule.target))
         raise RuntimeError(  # pragma: no cover - invariant: rewrites go lex-down
             f"rewriting did not terminate on {mono}")
 
+    def _first_rule(self, mono):
+        """The first compiled rule whose source divides ``mono``, tested on
+        the source's support only, or None."""
+        for support, rule in self._supports:
+            for i, s in support:
+                if mono[i] < s:
+                    break
+            else:
+                return rule
+        return None
+
     def is_normal(self, mono):
-        return not any(all(c >= s for c, s in zip(mono, rule.source))
-                       for rule in self._compiled)
+        return self._first_rule(mono) is None
 
     def mul_mono(self, a, b):
         """The product of two exponent tuples, as ``normalize`` returns it,
@@ -374,7 +412,7 @@ class Algebra:
 class TensorProduct:
     """The presentation of A (x) B for two rewrite-form algebras over one
     prime: its monomials are (left, right) pairs of normal monomials, and
-    ``normalize`` and ``mul_mono`` act on each factor in turn."""
+    ``normalize`` and ``_product`` act on each factor in turn."""
 
     def __init__(self, left, right):
         if left.prime != right.prime:
@@ -390,13 +428,6 @@ class TensorProduct:
     def degree_of(self, mono):
         """Total degree of a (left, right) pair."""
         return self.left.degree_of(mono[0]) + self.right.degree_of(mono[1])
-
-    def mul_mono(self, a, b):
-        kl, lm = self.left.mul_mono(a[0], b[0])
-        if lm is None:
-            return 0, None
-        kr, rm = self.right.mul_mono(a[1], b[1])
-        return (0, None) if rm is None else (kl * kr, (lm, rm))
 
     def same_presentation(self, other):
         return type(other) is TensorProduct \
@@ -449,11 +480,7 @@ class Element:
             return self._normal(self.alg, ((m, c * other)
                                            for m, c in self.terms.items()))
         _check_mates(self.alg, other.alg)
-        mul = self.alg.mul_mono
-        return self._normal(self.alg, (
-            (m, ca * cb * k) for ma, ca in self.terms.items()
-            for mb, cb in other.terms.items()
-            for k, m in (mul(ma, mb),) if m is not None))
+        return _product(self, other)
 
     __rmul__ = __mul__
 

@@ -558,6 +558,220 @@ def test_coaction_rule_failure_carries_its_difference():
         "coaction does not respect x^2 -> 0 (difference t^2⊗1)"]
 
 
+# ---------------------------------------------------------------------------
+# the product kernel and rule matching against naive loops
+# ---------------------------------------------------------------------------
+
+def naive_normalize(A, mono):
+    """Rewrite by the first compiled rule whose whole source divides the
+    tuple, testing every exponent of every rule."""
+    coeff, cur = 1, tuple(mono)
+    while True:
+        for rule in A._compiled:
+            if all(c >= s for c, s in zip(cur, rule.source)):
+                if rule.target is None:
+                    return 0, None
+                coeff = coeff * rule.coeff % A.prime
+                cur = tuple(c - s + t for c, s, t in zip(cur, rule.source, rule.target))
+                break
+        else:
+            return coeff, cur
+
+
+def naive_product(alg, x, y):
+    """The terms of x*y for term dicts over ``alg``: each factor of each term
+    pair normalized from its exponent sum by ``naive_normalize``, then one
+    ``_mod_sum``; no product table and no unit shortcut."""
+    def factor(A, a, b):
+        return naive_normalize(A, tuple(s + t for s, t in zip(a, b)))
+
+    def times(a, b):
+        if not isinstance(alg, TensorProduct):
+            return factor(alg, a, b)
+        kl, lm = factor(alg.left, a[0], b[0])
+        kr, rm = factor(alg.right, a[1], b[1])
+        return (0, None) if lm is None or rm is None else (kl * kr, (lm, rm))
+
+    return algebra._mod_sum(alg.prime, (
+        (m, ca * cb * k) for ma, ca in x.items() for mb, cb in y.items()
+        for k, m in (times(ma, mb),) if m is not None))
+
+
+def naive_image(alg, images, mono, memo):
+    """The terms of the product of images[i]^mono[i]: the image of mono with
+    its last nonzero exponent lowered times images[i], by ``naive_product``,
+    memoized in ``memo``."""
+    if mono not in memo:
+        if not any(mono):
+            memo[mono] = {alg.unit_mono: 1}
+        else:
+            i = max(j for j, e in enumerate(mono) if e)
+            lower = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            memo[mono] = naive_product(alg, naive_image(alg, images, lower, memo),
+                                       images[i])
+    return memo[mono]
+
+
+def kernel_tuples(A):
+    """The basis monomials of A, its rule sources, and each basis monomial
+    with one exponent raised past its generator's truncation."""
+    past = [m[:i] + (m[i] + g.truncation,) + m[i + 1:]
+            for m in A.basis()[::7] for i, g in enumerate(A.generators)]
+    return list(A.basis()) + [r.source for r in A._compiled] + past
+
+
+def assert_tables_match_naive(B, monos):
+    """Delta and S on ``monos`` are the naive products of their generator
+    images, and each keeps its class."""
+    T = TensorProduct(B, B)
+    cop = [{(lm, rm): c for c, lm, rm in B.coproducts[g.name]} for g in B.generators]
+    memo = {}
+    for m in monos:
+        got = B.coproduct_mono(m)
+        assert type(got) is TensorElement and got.terms == naive_image(T, cop, m, memo), m
+    S, memo = [B.antipode(B.gen(g.name)).terms for g in B.generators], {}
+    for m in monos:
+        got = algebra.extend_multiplicatively(B._antipode_cache, B._antipode_images, m)
+        assert type(got) is Element and got.terms == naive_image(B, S, m, memo), m
+        if B.is_normal(m):
+            assert B.antipode(B.monomial(m)) == got
+
+
+def assert_normal_forms_match_naive(A, monos):
+    """normalize against the full-source rewrite; is_normal(m) exactly when
+    m is its own normal form; malformed tuples refused as before."""
+    r = A.ngens
+    for m in monos:
+        assert A.normalize(m) == naive_normalize(A, m), m
+        assert A.is_normal(m) == (A.normalize(m) == (1, m)), m
+    m = monos[-1]
+    for bad in (m + (0,), m[:-1], (-1,) + m[1:]):
+        with pytest.raises(ValueError) as err:
+            A.normalize(bad)
+        assert str(err.value) == f"monomial {bad} must be a length-{r} exponent tuple"
+
+
+def assert_products_match_naive(alg, data, monos):
+    """Element products over ``alg`` on drawn pairs against naive_product."""
+    cls = TensorElement if isinstance(alg, TensorProduct) else Element
+    terms = st.dictionaries(st.sampled_from(monos), st.integers(-alg.prime, alg.prime),
+                            max_size=5)
+    for _ in range(4):
+        x, y = (cls._normal(alg, data.draw(terms).items()) for _ in range(2))
+        got = x * y
+        assert type(got) is cls and got.alg is alg
+        assert got.terms == naive_product(alg, x.terms, y.terms)
+
+
+def kernel_draws():
+    return st.one_of(borel_bialgebras(), noncocommutative_bialgebras())
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_draws(), st.data())
+def test_product_kernel_matches_naive_products_on_random_bialgebras(B, data):
+    """Delta, S and element products of random Borel-form and
+    non-cocommutative bialgebras (p = 2, 3, 5), verified or not: an algebra
+    map on the free algebra is the product of its generator images."""
+    monos = kernel_tuples(B)
+    assert_tables_match_naive(B, monos)
+    assert_products_match_naive(B, data, B.basis())
+    pairs = list(itertools.product(B.basis()[:6], repeat=2))
+    assert_products_match_naive(TensorProduct(B, B), data, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(kernel_draws(), small_algebras().filter(lambda A: A.ngens)), st.data())
+def test_normal_forms_match_full_source_rewriting(A, data):
+    """The bialgebra draws, and small algebras with a rule x^2 -> c z."""
+    monos = kernel_tuples(A) + [data.draw(st.tuples(
+        *(st.integers(0, 2 * g.truncation) for g in A.generators))) for _ in range(8)]
+    assert_normal_forms_match_naive(A, monos)
+
+
+@pytest.mark.parametrize("key", ["e7p7.mod2", "e8p8.mod3"])
+def test_product_kernel_matches_naive_products_on_cell_comodules(key, monkeypatch):
+    """The coaction, and H's coproduct and antipode, on a freshly built
+    comodule, over every exponent tuple up to the truncations (so past the
+    rule sources of the module too); normal forms of both algebras."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    M = catalog.get(key, verify=False)
+    A, H = M.module, M.H
+    raw = list(itertools.product(*(range(g.truncation + 1) for g in A.generators)))
+    T = TensorProduct(H, A)
+    images, memo = [M._gen_table[g.name].terms for g in A.generators], {}
+    for m in raw:
+        got = M.coaction_raw(m)
+        assert type(got) is TensorElement and got.terms == naive_image(T, images, m, memo), m
+    assert_normal_forms_match_naive(A, raw)
+    assert_tables_match_naive(H, kernel_tuples(H))
+    assert_normal_forms_match_naive(H, kernel_tuples(H))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["e7p7.mod2", "e8p8.mod3"]), st.data())
+def test_element_products_match_naive_on_cell_comodules(key, data):
+    M = catalog.get(key)
+    assert_products_match_naive(M.module, data, M.module.basis())
+    pairs = list(itertools.product(M.H.basis(), M.module.basis()[:20]))
+    assert_products_match_naive(TensorProduct(M.H, M.module), data, pairs)
+
+
+def test_product_kernel_takes_a_unit_factor_as_it_is(monkeypatch):
+    """Over A (x) A a factor with the unit on one side looks nothing up in a
+    product table, a zero on either factor drops the pair, and a product
+    over A itself goes through A's table."""
+    A = Algebra(3, (GeneratorDecl("x", 1, 2), GeneratorDecl("y", 1, 2)))
+    x, y, one = (1, 0), (0, 1), (0, 0)
+    calls = []
+    real = Algebra.mul_mono
+    monkeypatch.setattr(Algebra, "mul_mono",
+                        lambda self, a, b: calls.append((a, b)) or real(self, a, b))
+    u = TensorElement(A, A, {(x, one): 1, (one, y): 1})
+    assert (u * TensorElement(A, A, {(y, one): 1})).terms == {((1, 1), one): 1, (y, y): 1}
+    assert calls == [(x, y)]
+    calls.clear()
+    assert (u * u).terms == {(x, y): 2}
+    assert calls == [(x, x), (y, y)]
+    calls.clear()
+    assert (A.gen("x") * A.gen("y") * A.one()).terms == {(1, 1): 1}
+    assert calls == [(x, y), ((1, 1), one)]
+
+
+def test_tables_extend_without_a_presentation_check(monkeypatch):
+    """The memo and the generator images share one presentation, so the
+    multiplicative extension checks none; element products still do."""
+    B = bialgebra_from_dict(bialgebra_to_dict(catalog.get("e8.mod2")))
+    monkeypatch.setattr(algebra, "_check_mates", lambda alg, other: pytest.fail())
+    for m in B.basis():
+        B.coproduct_mono(m)
+    with pytest.raises(pytest.fail.Exception):
+        B.one() * B.one()
+
+
+def assert_coassociative(B):
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis monomial,
+    both sides summed from the coproduct table as triples."""
+    p = B.prime
+    for m in B.basis():
+        cop = B.coproduct_mono(m).terms
+        left = algebra._mod_sum(p, (((a1, a2, b), c * d) for (a, b), c in cop.items()
+                                    for (a1, a2), d in B.coproduct_mono(a).terms.items()))
+        right = algebra._mod_sum(p, (((a, b1, b2), c * d) for (a, b), c in cop.items()
+                                     for (b1, b2), d in B.coproduct_mono(b).terms.items()))
+        assert left == right, m
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(kernel_draws())
+def test_verified_random_bialgebras_are_coassociative_on_every_monomial(B):
+    """verify checks coassociativity on the generators only; the coproduct
+    is an algebra map, so it holds on every basis monomial."""
+    assume(verify_bialgebra(B))
+    assert_coassociative(B)
+
+
 def test_rule_failure_shows_the_target_coefficient():
     """Over F_3 with x and z primitive, Delta(x^2) - 2 Delta(z) = 2 x (x) x."""
     B = primitive_bialgebra(3, (GeneratorDecl("x", 1, 3), GeneratorDecl("z", 2, 2)),
