@@ -333,6 +333,7 @@ class Algebra:
         return None
 
     def is_normal(self, mono):
+        _check_exponents(mono, self.ngens)
         return self._first_rule(mono) is None
 
     def mul_mono(self, a, b):

@@ -28,6 +28,13 @@ pair), built when the key is first met.  It and
 comodule without a second normalization; a restriction keeps the
 ``position`` of the comodule it restricts.
 
+A comodule M keeps the structure derived from it, built on first use: one
+M (x) N per N (``_tensors``, weakly keyed, so it never keeps N alive) and
+one restriction per J-tuple (``_restrictions``).  Both go with M, so a
+catalog entry rebuilt after ``catalog._cache.clear()`` holds none.  The
+comodules returned are shared: do not mutate them.  Answers (coinvariants,
+summands, morphism checks) are computed on every call.
+
 A J-quotient is read through the one map ``jinv.quotient_with_map`` returns:
 ``remap`` is None exactly on the ideal and otherwise gives the quotient's
 normal monomial.  ``restrict_comodule`` remaps each H-monomial once and
@@ -62,6 +69,7 @@ from the second ruling.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 from . import _linalg, dual
@@ -72,7 +80,7 @@ from .algebra import (Algebra, SchemaError, _check_keys, _check_rules,
                       bialgebra_from_dict, bialgebra_to_dict,
                       extend_multiplicatively, gen_mono, presentation_to_dict,
                       tensor_terms_from_json)
-from .jinv import quotient_with_map, so_borel
+from .jinv import quotient_with_map, so_borel, validate_jtuple
 
 
 def _label_key(label):
@@ -112,6 +120,16 @@ class _ComoduleBase:
         for lab in self.position:
             out.setdefault(self.degree_of(lab), []).append(lab)
         return out
+
+    @cached_property
+    def _tensors(self):
+        """N -> the kept self (x) N, weakly keyed by N (``tensor_comodule``)."""
+        return weakref.WeakKeyDictionary()
+
+    @cached_property
+    def _restrictions(self):
+        """J-tuple -> the kept restriction of self (``restrict_comodule``)."""
+        return {}
 
     def sorted_labels(self):
         return list(self.position)
@@ -275,12 +293,19 @@ def coinvariants(M, degree=None):
 
 
 def tensor_comodule(M, N):
-    """M (x) N with rho(a,b) = (mult_H (x) id)(rho_M(a) (x) rho_N(b)).
+    """M (x) N with rho(a,b) = (mult_H (x) id)(rho_M(a) (x) rho_N(b)), built
+    on the first call for N (``_tensor``) and kept on M while N lives."""
+    T = M._tensors.get(N)
+    if T is None:
+        T = M._tensors[N] = _tensor(M, N)
+    return T
 
-    Each H-monomial h of rho_M times each rho_N(b) is one row of (int key,
-    coeff), keyed (index of the product monomial) * rank(M (x) N) + (index
-    of the label pair); rho(a, b) sums those rows, shifted to the labels of
-    rho_M(a), mod p."""
+
+def _tensor(M, N):
+    """M (x) N, built afresh: each H-monomial h of rho_M times each rho_N(b)
+    is one row of (int key, coeff), keyed (index of the product monomial) *
+    rank(M (x) N) + (index of the label pair); rho(a, b) sums those rows,
+    shifted to the labels of rho_M(a), mod p."""
     if M.H != N.H:
         raise ValueError("tensor factors must live over the same bialgebra")
     H = M.H
@@ -370,8 +395,12 @@ def restrict_comodule(M, J):
     Each H-monomial is remapped once; the remap is injective off the ideal,
     so the surviving terms keep their coefficients and no two of them meet.
     The labels, degrees and ``position`` are M's; the degrees are read off
-    M's ``by_degree``, built once per comodule."""
+    M's ``by_degree``, built once per comodule.  Built on the first call for
+    a J-tuple and kept on M; one that cuts out no bi-ideal raises every time."""
+    J = validate_jtuple(M.H, J)
     Hq, remap = quotient_with_map(M.H, J)
+    if J in M._restrictions:
+        return M._restrictions[J]
     images = {}  # H-monomial -> its monomial in Hq, or None in the ideal
     table = {}
     for lab in M.labels:
@@ -382,7 +411,7 @@ def restrict_comodule(M, J):
             if images[hm] is not None:
                 vec[images[hm], lab2] = c
     degrees = {lab: d for d, labs in M.by_degree.items() for lab in labs}
-    Mq = BasisComodule._normal(Hq, M.labels, degrees, table)
+    Mq = M._restrictions[J] = BasisComodule._normal(Hq, M.labels, degrees, table)
     Mq.position = M.position
     return Mq
 

@@ -639,16 +639,18 @@ def assert_tables_match_naive(B, monos):
 
 def assert_normal_forms_match_naive(A, monos):
     """normalize against the full-source rewrite; is_normal(m) exactly when
-    m is its own normal form; malformed tuples refused as before."""
+    m is its own normal form; malformed tuples refused by both, with one
+    message."""
     r = A.ngens
     for m in monos:
         assert A.normalize(m) == naive_normalize(A, m), m
         assert A.is_normal(m) == (A.normalize(m) == (1, m)), m
     m = monos[-1]
     for bad in (m + (0,), m[:-1], (-1,) + m[1:]):
-        with pytest.raises(ValueError) as err:
-            A.normalize(bad)
-        assert str(err.value) == f"monomial {bad} must be a length-{r} exponent tuple"
+        for method in (A.normalize, A.is_normal):
+            with pytest.raises(ValueError) as err:
+                method(bad)
+            assert str(err.value) == f"monomial {bad} must be a length-{r} exponent tuple"
 
 
 def assert_products_match_naive(alg, data, monos):
@@ -1161,6 +1163,16 @@ ALGEBRA_REFUSALS = [
      "monomial (0, 0, 0, 0, 1) must be a length-4 exponent tuple"),
     ("negative-monomial", lambda: catalog.get("e8.mod2").monomial((-1, 0, 0, 0)),
      "monomial (-1, 0, 0, 0) must be a length-4 exponent tuple"),
+    ("short-is-normal", lambda: catalog.get("so13.mod2").is_normal((1,)),
+     "monomial (1,) must be a length-6 exponent tuple"),
+    ("short-is-normal-past-truncation", lambda: catalog.get("so13.mod2").is_normal((3,)),
+     "monomial (3,) must be a length-6 exponent tuple"),
+    ("long-is-normal",
+     lambda: catalog.get("so13.mod2").is_normal((0, 0, 0, 0, 0, 0, 5)),
+     "monomial (0, 0, 0, 0, 0, 0, 5) must be a length-6 exponent tuple"),
+    ("negative-is-normal",
+     lambda: catalog.get("so13.mod2").is_normal((0, -1, 0, 0, 0, 0)),
+     "monomial (0, -1, 0, 0, 0, 0) must be a length-6 exponent tuple"),
     ("borel-mixed-source",
      lambda: borel_normalize(primitive_bialgebra(
          2, _gens(("a", 1, 2), ("b", 1, 2)), [RewriteRule((1, 1), None)])),

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -808,7 +810,9 @@ def test_tensor_of_random_comodules_matches_oracle(pair):
 def test_tensor_square_reads_each_coaction_once_and_shares_keys(monkeypatch):
     """Equal keys of the e7p7.mod2 square are one object, and each factor's
     coaction is read once per label (each read of an ``AlgebraComodule``
-    coaction is a call into the algebra layer)."""
+    coaction is a call into the algebra layer).  A fresh catalog entry keeps
+    no square yet, so the call builds one."""
+    monkeypatch.setattr(catalog, "_cache", {})
     M = catalog.get("e7p7.mod2")
     calls, read = {}, M.coaction_vec
 
@@ -821,6 +825,99 @@ def test_tensor_square_reads_each_coaction_once_and_shares_keys(monkeypatch):
     keys = [key for ab in T.labels for key in T.coaction_vec(ab)]
     assert len({id(key) for key in keys}) == len(set(keys)) == 16_356
     assert len({id(ab) for ab in T.labels} | {id(key[1]) for key in keys}) == 3_136
+
+
+# -- kept structure ----------------------------------------------------------------
+
+def test_tensors_and_restrictions_are_kept_on_the_comodule():
+    M = catalog.get("e7p7.mod2")
+    R = regular_comodule(M.H)
+    T = tensor_comodule(M, M)
+    assert tensor_comodule(M, M) is T
+    assert tensor_comodule(M, R) is tensor_comodule(M, R) is not T
+    for J in [(1, 0, 0), (0, 1, 1)]:
+        Mq = restrict_comodule(M, J)
+        assert restrict_comodule(M, list(J)) is Mq
+        assert M._restrictions[J] is Mq
+    assert restrict_comodule(M, (1, 0, 0)) is not restrict_comodule(M, (0, 1, 1))
+
+
+def assert_same_kept_structure(kept, fresh):
+    """Labels, degrees, display order, coactions and the coinvariants in
+    every degree of a kept comodule and of one built afresh."""
+    assert kept is not fresh and kept.H == fresh.H
+    assert kept.labels == fresh.labels
+    assert list(kept.position.items()) == list(fresh.position.items())
+    for lab in fresh.labels:
+        assert kept.degree_of(lab) == fresh.degree_of(lab)
+        assert kept.coaction_vec(lab) == fresh.coaction_vec(lab), lab
+    assert list(kept.by_degree) == list(fresh.by_degree)
+    for d in fresh.by_degree:
+        assert coinvariants(kept, degree=d) == coinvariants(fresh, degree=d), d
+
+
+@pytest.mark.parametrize("key", [k for k in catalog.keys() if catalog.kind(k) == "comodule"])
+def test_kept_restrictions_match_a_fresh_catalog_entry(key, monkeypatch):
+    M = catalog.get(key)
+    kept = {J: restrict_comodule(M, J) for J in valid_jtuples(M.H) if is_bi_ideal(M.H, J)[0]}
+    assert kept and all(restrict_comodule(M, J) is Mq for J, Mq in kept.items())
+    monkeypatch.setattr(catalog, "_cache", {})
+    fresh = catalog.get(key)
+    assert fresh is not M
+    for J, Mq in kept.items():
+        assert_same_kept_structure(Mq, restrict_comodule(fresh, J))
+
+
+def test_kept_tensor_square_matches_a_fresh_catalog_entry(monkeypatch):
+    M = catalog.get("e7p7.mod2")
+    T = tensor_comodule(M, M)
+    assert tensor_comodule(M, M) is T
+    monkeypatch.setattr(catalog, "_cache", {})
+    fresh = catalog.get("e7p7.mod2")
+    assert_same_kept_structure(T, tensor_comodule(fresh, fresh))
+
+
+def test_a_tensor_with_a_transient_factor_goes_with_it():
+    """The kept product is weakly keyed by its right factor: it never keeps
+    that factor alive, and is dropped once the factor is collected."""
+    M = catalog.get("e7p7.mod2")
+    N = comodule_from_dict(json.loads(json.dumps(comodule_to_dict(M))))
+    assert N.H == M.H and N is not M
+    T = tensor_comodule(M, N)
+    assert tensor_comodule(M, N) is T and M._tensors[N] is T
+    n_ref, t_ref, before = weakref.ref(N), weakref.ref(T), len(M._tensors)
+    del N, T
+    gc.collect()
+    assert n_ref() is None and t_ref() is None
+    assert len(M._tensors) == before - 1
+
+
+def test_a_jtuple_off_a_bi_ideal_raises_on_every_call_and_keeps_nothing():
+    M = regular_comodule(catalog.get("e8.mod2"))
+    J = (0, 2, 0, 0)
+    assert not is_bi_ideal(M.H, J)[0]
+    for bad in (J, list(J), J):
+        with pytest.raises(ValueError, match=r"J-tuple \(0, 2, 0, 0\) does not cut out"):
+            restrict_comodule(M, bad)
+    with pytest.raises(ValueError, match="J-tuple has length 3, expected 4"):
+        restrict_comodule(M, (0, 0, 0))
+    assert M._restrictions == {}
+    assert restrict_comodule(M, (1, 1, 1, 1)) is M._restrictions[1, 1, 1, 1]
+
+
+def test_a_catalog_entry_rebuilt_after_clear_holds_nothing_kept(monkeypatch):
+    monkeypatch.setattr(catalog, "_cache", {})
+    M = catalog.get("e7p7.mod2")
+    T, Mq = tensor_comodule(M, M), restrict_comodule(M, (1, 0, 0))
+    m_ref = weakref.ref(M)
+    catalog._cache.clear()
+    del M
+    gc.collect()
+    assert m_ref() is None
+    M = catalog.get("e7p7.mod2")
+    assert len(M._tensors) == 0 and M._restrictions == {}
+    assert tensor_comodule(M, M) is not T
+    assert restrict_comodule(M, (1, 0, 0)) is not Mq
 
 
 # -- quadric cell comodules ------------------------------------------------------
