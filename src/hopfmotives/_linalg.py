@@ -8,10 +8,12 @@ are ints in range(ncols), and a row's pivot is its least column.
 ``rref`` and ``kernel_basis`` choose a route by p.  At p = 2 each row is
 packed into an int, one bit per column, set when the coefficient is odd;
 repeated rows are dropped in first-seen order, and the rest are eliminated
-by XOR, sparsest first, with one back-substitution at the end.  At any
-other p the rows are added, sparsest first, to an ``Echelon``, which
-eliminates forward only: each added vector is reduced against the pivots
-already held, and back-substitution waits until the reduced form is read.
+by XOR, sparsest first, with one back-substitution at the end
+(``_f2_echelon``).  ``kernel_basis`` reads its vectors straight off those
+packed rows, and only ``rref`` unpacks them into dicts.  At any other p
+the rows are added, sparsest first, to an ``Echelon``, which eliminates
+forward only: each added vector is reduced against the pivots already
+held, and back-substitution waits until the reduced form is read.
 The reduced row echelon form of a span is unique, so neither the route,
 the row order nor the moment of back-substitution changes any result.
 """
@@ -115,10 +117,12 @@ def _kernel(rows, ncols, p):
     return list(basis.values())
 
 
-def _f2_reduced(rows, ncols):
-    """{pivot: row} in reduced row echelon form over F_2, by packed rows."""
-    # column j is bit ncols - 1 - j, so a row's pivot is its highest bit,
-    # read off int.bit_length() without building a new int
+def _f2_echelon(rows, ncols):
+    """The reduced row echelon form over F_2 as packed rows, {b: row} by
+    ascending b, where column j is bit ncols - 1 - j and b is a row's bit
+    length, so that its pivot column is ncols - b."""
+    # a row's pivot is its highest bit, read off int.bit_length() without
+    # building a new int
     packed = {}  # packed row -> None, in first-seen order
     for row in rows:
         x = 0
@@ -126,7 +130,7 @@ def _f2_reduced(rows, ncols):
             if c & 1:
                 x |= 1 << (ncols - 1 - k)
         packed[x] = None
-    held = {}  # bit length (ncols - pivot column) -> packed row
+    held = {}  # bit length -> packed row
     for x in sorted(packed, key=int.bit_count):
         while x and (b := x.bit_length()) in held:
             x ^= held[b]
@@ -141,15 +145,38 @@ def _f2_reduced(rows, ncols):
         rest = (x & pivots) ^ (1 << (b - 1))
         while rest:
             q = rest.bit_length()
-            x ^= held[q]
+            x ^= reduced[q]
             rest ^= 1 << (q - 1)
-        held[b] = x
+        reduced[b] = x
+    return reduced
+
+
+def _f2_reduced(rows, ncols):
+    """{pivot: row} in reduced row echelon form over F_2, unpacked."""
+    reduced = {}
+    for b, x in _f2_echelon(rows, ncols).items():
         row = reduced[ncols - b] = {}
         while x:
             q = x.bit_length()
             row[ncols - q] = 1
             x ^= 1 << (q - 1)
     return reduced
+
+
+def _f2_kernel(rows, ncols):
+    """``_kernel`` over F_2, read straight off the packed reduced rows: each
+    set bit but the pivot of a row puts 1 at that row's pivot in the vector
+    of the bit's column."""
+    reduced = _f2_echelon(rows, ncols)
+    basis = {f: {f: 1} for f in range(ncols) if ncols - f not in reduced}
+    for b, x in reduced.items():
+        piv = ncols - b
+        x ^= 1 << (b - 1)
+        while x:
+            q = x.bit_length()
+            basis[ncols - q][piv] = 1
+            x ^= 1 << (q - 1)
+    return list(basis.values())
 
 
 def _reduced(rows, ncols, p):
@@ -170,4 +197,6 @@ def rref(rows, ncols, p):
 
 def kernel_basis(rows, ncols, p):
     """Basis of the right kernel of the rows, ordered by non-pivot column."""
+    if p == 2:
+        return _f2_kernel(rows, ncols)
     return _kernel(_reduced(rows, ncols, p), ncols, p)

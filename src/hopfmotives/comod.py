@@ -29,11 +29,17 @@ comodule without a second normalization; a restriction keeps the
 ``position`` of the comodule it restricts.
 
 A comodule M keeps the structure derived from it, built on first use: one
-M (x) N per N (``_tensors``, weakly keyed, so it never keeps N alive) and
-one restriction per J-tuple (``_restrictions``).  Both go with M, so a
-catalog entry rebuilt after ``catalog._cache.clear()`` holds none.  The
-comodules returned are shared: do not mutate them.  Answers (coinvariants,
-summands, morphism checks) are computed on every call.
+M (x) N per N (``_tensors``, weakly keyed, so it never keeps N alive), one
+restriction per J-tuple (``_restrictions``), and, per degree (None for all
+labels), the frozenset of H-monomials of rho on those labels
+(``_monomials``), which ``coinvariants`` and ``is_comodule_morphism`` hand
+to ``dual.coefficient_generators`` instead of rescanning every term.  Both
+flavors serve ``coaction_vec`` from one table per label: ``BasisComodule``
+builds it whole, ``AlgebraComodule`` fills it from ``coaction_raw`` on each
+label's first read.  All of this goes with M, so a catalog entry rebuilt
+after ``catalog._cache.clear()`` holds none of it.  The comodules returned
+are shared: do not mutate them.  Equation rows, kernels and answers
+(coinvariants, summands, morphism checks) are computed on every call.
 
 A J-quotient is read through the one map ``jinv.quotient_with_map`` returns:
 ``remap`` is None exactly on the ideal and otherwise gives the quotient's
@@ -119,6 +125,21 @@ class _ComoduleBase:
         out = {}
         for lab in self.position:
             out.setdefault(self.degree_of(lab), []).append(lab)
+        return out
+
+    @cached_property
+    def _monomials(self):
+        """degree (None: every label) -> the frozenset of H-monomials of rho
+        on the labels of that degree, each read on first use
+        (``_monomials_of``)."""
+        return {}
+
+    def _monomials_of(self, degree):
+        out = self._monomials.get(degree)
+        if out is None:
+            labels = self.labels if degree is None else self.by_degree.get(degree, ())
+            out = self._monomials[degree] = frozenset(
+                hm for lab in labels for hm, _lab in self.coaction_vec(lab))
         return out
 
     @cached_property
@@ -215,7 +236,15 @@ class AlgebraComodule(_ComoduleBase):
         self.module = module
         self._images, self._raw_cache = _generator_images(H, module, coaction, "coaction")
         self._gen_table = {g.name: t for g, t in zip(module.generators, self._images)}
+        self._table = {}  # label -> rho(label), filled on first read
         self.labels = module.basis()
+
+    @cached_property
+    def position(self):
+        """The display index of each label: ``labels`` is ``module.basis()``,
+        already in (degree, exponent tuple) order, which ``_label_key`` keeps
+        on exponent tuples.  Built once; do not mutate."""
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def degree_of(self, label):
         return self.module.degree_of(label)
@@ -228,7 +257,10 @@ class AlgebraComodule(_ComoduleBase):
         return extend_multiplicatively(self._raw_cache, self._images, mono)
 
     def coaction_vec(self, label):
-        return self.coaction_raw(label).terms
+        vec = self._table.get(label)
+        if vec is None:
+            vec = self._table[label] = self.coaction_raw(label).terms
+        return vec
 
     def verify(self):
         """The bialgebra's own verification, then the laws on generators
@@ -269,7 +301,7 @@ def coinvariants(M, degree=None):
     # non-pivot column f and nonzero elsewhere only at pivots below f, that
     # is at later labels, so read backwards the kernel basis is reduced
     cols = list(reversed(labels))
-    kept = dual.coefficient_generators(H, {k[0] for b in cols for k in M.coaction_vec(b)})
+    kept = dual.coefficient_generators(H, M._monomials_of(degree))
     rows = {}  # kept coaction term -> {column: coefficient}
     for j, b in enumerate(cols):
         vec = M.coaction_vec(b)
@@ -376,8 +408,7 @@ def is_comodule_morphism(M, N, f):
     if M.H != N.H:
         raise ValueError("morphisms require a common bialgebra")
     p = M.H.prime
-    kept = dual.coefficient_generators(M.H, {k[0] for X in (M, N) for lab in X.labels
-                                             for k in X.coaction_vec(lab)})
+    kept = dual.coefficient_generators(M.H, M._monomials_of(None) | N._monomials_of(None))
     for b in M.labels:
         lhs = _mod_sum(p, ((key, c * d) for nl, c in f.get(b, {}).items()
                            for key, d in N.coaction_vec(nl).items() if key[0] in kept))

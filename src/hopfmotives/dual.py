@@ -116,15 +116,16 @@ class TableAlgebra:
         return {k: c for k, c in out.items() if c}
 
     def power(self, v, n):
-        """v^n by square-and-multiply."""
-        out = self.unit
+        """v^n by square-and-multiply, from the first factor met; the unit
+        only for n = 0."""
+        out = None
         while n:
             if n & 1:
-                out = self.multiply(out, v)
+                out = v if out is None else self.multiply(out, v)
             n >>= 1
             if n:
                 v = self.multiply(v, v)
-        return out
+        return self.unit if out is None else out
 
     def minimal_polynomial(self, v):
         """Monic minimal polynomial of v, ascending coefficient list: the one

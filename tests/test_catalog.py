@@ -1,5 +1,6 @@
 """Catalog integrity, the Weyl degree tables against a brute-force
-enumeration oracle, frozen instance data, and the directory override."""
+enumeration oracle, frozen instance data, classical invariants (canonical
+p-dimension, cell counts by the Weyl group), and the directory override."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 
 from hopfmotives import catalog
 from hopfmotives.algebra import borel_normalize
-from hopfmotives.jinv import fpoin
+from hopfmotives.jinv import PoincarePoly, borel_exponents, fpoin
 from hopfmotives.motdec import twist_multiset
 
 
@@ -128,6 +129,51 @@ def test_jtuple_instances_divide_their_flag_polynomials():
         assert all(v > 0 for v in twists.values()), inst
         assert sum(twists.values()) * poly(1) == \
             catalog.weyl_order(inst.series, inst.rank), inst
+
+
+# ---------------------------------------------------------------------------
+# classical invariants
+# ---------------------------------------------------------------------------
+
+# the canonical p-dimension of G, the dimension of its generic generalized
+# Rost motive (Karpenko and Merkurjev, "Canonical p-dimension of algebraic
+# groups", Adv. Math. 205, 2006); for SO_(2m+1) it is m(m+1)/2, the
+# dimension of the maximal orthogonal Grassmannian of a generic form
+CANONICAL_P_DIMENSION = {
+    "g2.mod2": 3, "e7sc.mod2": 17, "e8.mod2": 60, "e8.mod3": 28,
+    "so5.mod2": 3, "so7.mod2": 6, "so9.mod2": 10, "so11.mod2": 15, "so13.mod2": 21,
+}
+
+
+@pytest.mark.parametrize("key, dim", CANONICAL_P_DIMENSION.items())
+def test_top_degree_at_the_maximal_jtuple_is_the_canonical_p_dimension(key, dim):
+    """At the maximal J-tuple (k_1, .., k_r) the top degree of H_J is
+    sum (p^(k_i) - 1) d_i."""
+    B = catalog.get(key)
+    if B.rules:
+        B = borel_normalize(B)
+    top = borel_exponents(B)
+    assert fpoin(B, top).degree() == dim == \
+        sum((B.prime ** k - 1) * g.degree for g, k in zip(B.generators, top))
+    if key.startswith("so"):
+        m = (int(key[2:].split(".")[0]) - 1) // 2
+        assert dim == m * (m + 1) // 2
+
+
+@pytest.mark.parametrize("key, group, levi, rank, top", [
+    ("e7p7.mod2", ("E", 7), ("E", 6), 56, 27),
+    ("e8p8.mod3", ("E", 8), ("E", 7), 240, 57),
+])
+def test_cell_counts_are_the_weyl_quotient(key, group, levi, rank, top):
+    """The Poincare polynomial of the cell comodule of G/P is P_W(G)/P_W(L),
+    L the Levi factor of P."""
+    M = catalog.get(key)
+    counts = [0] * (max(map(M.degree_of, M.labels)) + 1)
+    for lab in M.labels:
+        counts[M.degree_of(lab)] += 1
+    poly = PoincarePoly(counts)
+    assert poly == catalog.weyl_poincare(*group).exact_div(catalog.weyl_poincare(*levi))
+    assert M.rank() == poly(1) == rank and poly.degree() == top
 
 
 # ---------------------------------------------------------------------------

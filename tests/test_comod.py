@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _borel import borel_bialgebras, noncocommutative_bialgebra
-from hopfmotives import _linalg, catalog, dual
-from hopfmotives.comod import (AlgebraComodule, BasisComodule, _label_key,
-                               coinvariants, comodule_from_dict,
+from hopfmotives import _linalg, algebra, catalog, comod, dual
+from hopfmotives.comod import (AlgebraComodule, BasisComodule, _ComoduleBase,
+                               _label_key, coinvariants, comodule_from_dict,
                                comodule_to_dict, is_comodule_morphism,
                                label_str, quadric_comodule, restrict_comodule,
                                tensor_comodule, verify_comodule)
@@ -909,15 +909,66 @@ def test_a_catalog_entry_rebuilt_after_clear_holds_nothing_kept(monkeypatch):
     monkeypatch.setattr(catalog, "_cache", {})
     M = catalog.get("e7p7.mod2")
     T, Mq = tensor_comodule(M, M), restrict_comodule(M, (1, 0, 0))
+    coinvariants(M)
+    coinvariants(M, degree=9)
+    assert set(M._monomials) == {None, 9}
     m_ref = weakref.ref(M)
     catalog._cache.clear()
     del M
     gc.collect()
     assert m_ref() is None
     M = catalog.get("e7p7.mod2")
-    assert len(M._tensors) == 0 and M._restrictions == {}
+    assert len(M._tensors) == 0 and M._restrictions == {} and M._monomials == {}
     assert tensor_comodule(M, M) is not T
     assert restrict_comodule(M, (1, 0, 0)) is not Mq
+
+
+def monomial_index_cases(key):
+    """A catalog cell comodule, its restrictions at every bi-ideal J-tuple,
+    and for e7p7.mod2 its square."""
+    M = catalog.get(key)
+    cases = [M] + [restrict_comodule(M, J) for J in valid_jtuples(M.H)
+                   if is_bi_ideal(M.H, J)[0]]
+    return cases + [tensor_comodule(M, M)] * (key == "e7p7.mod2")
+
+
+@pytest.mark.parametrize("key", ["e7p7.mod2", "e8p8.mod3"])
+def test_monomial_index_matches_a_fresh_scan(key):
+    """The kept H-monomials of rho on the labels of each degree (None: every
+    label) are those a scan of their coactions finds, and stay kept."""
+    for M in monomial_index_cases(key):
+        empty = max(M.by_degree) + 1
+        for d, labels in [*M.by_degree.items(), (None, M.labels), (empty, ())]:
+            scan = {hm for lab in labels for hm, _lab in M.coaction_vec(lab)}
+            got = M._monomials_of(d)
+            assert type(got) is frozenset and got == scan, d
+            assert M._monomials_of(d) is got is M._monomials[d]
+
+
+def test_a_degree_reads_only_its_own_coactions(monkeypatch):
+    """A cold call in one degree fills the index and the coaction table of
+    that degree alone."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    M = catalog.get("e7p7.mod2")
+    before = set(M._table)
+    assert coinvariants(M, degree=9) == [{(9, 0, 0): 1}]
+    assert list(M._monomials) == [9]
+    assert set(M._table) - before == set(M.by_degree[9]) - before
+
+
+def test_warm_coinvariants_extend_nothing_multiplicatively(monkeypatch):
+    """Once each degree of e8p8.mod3 has been solved, solving it again (and
+    globally) reads every coaction off the kept table."""
+    E = catalog.get("e8p8.mod3")
+    degrees = [None, *E.by_degree]
+    want = [coinvariants(E, degree=d) for d in degrees]
+    calls = []
+    for module in (algebra, comod):
+        real = module.extend_multiplicatively
+        monkeypatch.setattr(module, "extend_multiplicatively",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    assert [coinvariants(E, degree=d) for d in degrees] == want
+    assert calls == []
 
 
 # -- quadric cell comodules ------------------------------------------------------
@@ -962,12 +1013,24 @@ def mixed_json_comodule():
     return comodule_from_dict(data)
 
 
+def json_algebra_comodule():
+    """rho(u) = 1 (x) u, rho(v) = 1 (x) v + x (x) 1 over F_2[x]/(x^4), x
+    primitive, on F_2[u, v]/(u^2, v^4) with u (degree 2) before v (degree
+    1), read from JSON."""
+    H = primitive_bialgebra(2, (GeneratorDecl("x", 1, 4),))
+    A = Algebra(2, (GeneratorDecl("u", 2, 2), GeneratorDecl("v", 1, 4)))
+    M = AlgebraComodule(H, A, {"u": [(1, (0,), (1, 0))],
+                               "v": [(1, (0,), (0, 1)), (1, (1,), (0, 0))]})
+    return comodule_from_dict(json.loads(json.dumps(comodule_to_dict(M))))
+
+
 ORDER_CASES = {
     "e7p7.mod2": lambda: catalog.get("e7p7.mod2"),
     "e8p8.mod3": lambda: catalog.get("e8p8.mod3"),
     "e7p7.mod2^2": lambda: tensor_comodule(catalog.get("e7p7.mod2"),
                                            catalog.get("e7p7.mod2")),
     "json-mixed": mixed_json_comodule,
+    "json-algebra": json_algebra_comodule,
     **{f"quadric{n}": lambda n=n: quadric_comodule(n, valid_jtuples(so_borel(n))[0])
        for n in range(5, 15)},
 }
@@ -983,6 +1046,15 @@ def test_sorted_labels_follow_degree_then_label(case):
     got.reverse()
     got.append("junk")
     assert M.sorted_labels() == want
+
+
+@pytest.mark.parametrize("case", ["e7p7.mod2", "e8p8.mod3", "json-algebra"])
+def test_algebra_comodule_position_is_the_generic_sort(case):
+    """An algebra comodule reads ``position`` off its labels, the basis of
+    its module: the order the generic sort by ``_label_key`` gives."""
+    M = ORDER_CASES[case]()
+    assert type(M) is AlgebraComodule and M.verify()
+    assert list(M.position.items()) == list(_ComoduleBase.position.func(M).items())
 
 
 def test_json_labels_sort_by_degree_then_ints_then_strings():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfmotives import _linalg
@@ -200,6 +200,8 @@ def test_add_closure_spans_the_least_closed_subspace(case, maps):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices(), st.randoms(use_true_random=False))
+@example((2, 6, [{0: 1, 3: 3, 5: 1}, {1: 1, 3: -1}, {}, {0: 3, 3: 1, 5: 5}, {2: 2}]),
+         random.Random(0))
 def test_rref_and_kernel_do_not_depend_on_row_order(case, rnd):
     p, ncols, rows = case
     shuffled = rnd.sample(rows, len(rows))
@@ -236,6 +238,10 @@ def test_f2_rref_and_kernel_match_the_oracle(case):
     assert (reduced, pivots) == oracle_rref(rows, ncols, 2)
     assert kernel == oracle_kernel_basis(rows, ncols, 2)
     assert all(c == 1 for v in reduced + kernel for c in v.values())
+    # read off the packed rows, the kernel is what the unpacked rows give,
+    # down to the order of each vector's entries
+    unpacked = _linalg._kernel(_linalg._f2_reduced(rows, ncols), ncols, 2)
+    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in unpacked]
 
 
 @pytest.mark.parametrize("p, ncols, c", [(5, 40, 2), (2, 240, 3)],
