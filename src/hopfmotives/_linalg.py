@@ -1,21 +1,25 @@
 """Sparse Gaussian elimination over F_p.
 
 A row is a mapping {column: coefficient}.  Inputs may be any such mapping
-(a dict or a Counter), with zero, negative or >= p coefficients; every row
-returned is a dict holding only nonzero coefficients in 1..p-1.  Columns
-are ints in range(ncols), and a row's pivot is its least column.
+(a dict or a Counter), with zero, negative or >= p coefficients, or at
+p = 2 a packed int (below); every row returned is a dict holding only
+nonzero coefficients in 1..p-1.  Columns are ints in range(ncols), and a
+row's pivot is its least column.
 
 ``rref`` and ``kernel_basis`` choose a route by p.  At p = 2 each row is
-packed into an int, one bit per column, set when the coefficient is odd;
-repeated rows are dropped in first-seen order, and the rest are eliminated
-by XOR, sparsest first, with one back-substitution at the end
-(``_f2_echelon``).  ``kernel_basis`` reads its vectors straight off those
-packed rows, and only ``rref`` unpacks them into dicts.  At any other p
-the rows are added, sparsest first, to an ``Echelon``, which eliminates
+packed into an int, one bit per column (column j at bit ncols - 1 - j),
+set when the coefficient is odd, and repeated rows are dropped in
+first-seen order (``_f2_pack``).  A caller may hand every row already
+packed in that layout; such rows are taken as they are, repeats
+included.  The packed rows are eliminated by XOR, sparsest first, with one back-substitution at
+the end (``_f2_echelon``).  ``kernel_basis`` reads its vectors straight off
+those packed rows, and only ``rref`` unpacks them into dicts.  At any other
+p the rows are added, sparsest first, to an ``Echelon``, which eliminates
 forward only: each added vector is reduced against the pivots already
 held, and back-substitution waits until the reduced form is read.
 The reduced row echelon form of a span is unique, so neither the route,
-the row order nor the moment of back-substitution changes any result.
+the packing, the row order nor the moment of back-substitution changes any
+result.
 """
 
 from __future__ import annotations
@@ -117,12 +121,12 @@ def _kernel(rows, ncols, p):
     return list(basis.values())
 
 
-def _f2_echelon(rows, ncols):
-    """The reduced row echelon form over F_2 as packed rows, {b: row} by
-    ascending b, where column j is bit ncols - 1 - j and b is a row's bit
-    length, so that its pivot column is ncols - b."""
-    # a row's pivot is its highest bit, read off int.bit_length() without
-    # building a new int
+def _f2_pack(rows, ncols):
+    """The rows packed into ints, column j at bit ncols - 1 - j, set where
+    the coefficient is odd, with repeats dropped in first-seen order.  Rows
+    already packed are returned as they are."""
+    if not rows or isinstance(rows[0], int):
+        return rows
     packed = {}  # packed row -> None, in first-seen order
     for row in rows:
         x = 0
@@ -130,6 +134,15 @@ def _f2_echelon(rows, ncols):
             if c & 1:
                 x |= 1 << (ncols - 1 - k)
         packed[x] = None
+    return packed
+
+
+def _f2_echelon(packed):
+    """The reduced row echelon form over F_2 of packed rows, as packed rows
+    {b: row} by ascending b, where b is a row's bit length, so that on
+    ncols columns its pivot column is ncols - b."""
+    # a row's pivot is its highest bit, read off int.bit_length() without
+    # building a new int
     held = {}  # bit length -> packed row
     for x in sorted(packed, key=int.bit_count):
         while x and (b := x.bit_length()) in held:
@@ -154,7 +167,7 @@ def _f2_echelon(rows, ncols):
 def _f2_reduced(rows, ncols):
     """{pivot: row} in reduced row echelon form over F_2, unpacked."""
     reduced = {}
-    for b, x in _f2_echelon(rows, ncols).items():
+    for b, x in _f2_echelon(_f2_pack(rows, ncols)).items():
         row = reduced[ncols - b] = {}
         while x:
             q = x.bit_length()
@@ -167,7 +180,7 @@ def _f2_kernel(rows, ncols):
     """``_kernel`` over F_2, read straight off the packed reduced rows: each
     set bit but the pivot of a row puts 1 at that row's pivot in the vector
     of the bit's column."""
-    reduced = _f2_echelon(rows, ncols)
+    reduced = _f2_echelon(_f2_pack(rows, ncols))
     basis = {f: {f: 1} for f in range(ncols) if ncols - f not in reduced}
     for b, x in reduced.items():
         piv = ncols - b

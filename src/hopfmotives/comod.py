@@ -31,15 +31,18 @@ comodule without a second normalization; a restriction keeps the
 A comodule M keeps the structure derived from it, built on first use: one
 M (x) N per N (``_tensors``, weakly keyed, so it never keeps N alive), one
 restriction per J-tuple (``_restrictions``), and, per degree (None for all
-labels), the frozenset of H-monomials of rho on those labels
-(``_monomials``), which ``coinvariants`` and ``is_comodule_morphism`` hand
-to ``dual.coefficient_generators`` instead of rescanning every term.  Both
-flavors serve ``coaction_vec`` from one table per label: ``BasisComodule``
-builds it whole, ``AlgebraComodule`` fills it from ``coaction_raw`` on each
-label's first read.  All of this goes with M, so a catalog entry rebuilt
-after ``catalog._cache.clear()`` holds none of it.  The comodules returned
-are shared: do not mutate them.  Equation rows, kernels and answers
-(coinvariants, summands, morphism checks) are computed on every call.
+labels), the coaction on those labels transposed (``_monomials``, read
+through ``_rows_of``): {h: {b': row}}, a row holding for each label b the
+coefficient of h (x) b' in rho(b), packed into an int at p = 2.  Its keys
+are the H-monomials that ``coinvariants`` and ``is_comodule_morphism`` hand
+to ``dual.coefficient_generators``, and its rows are the equation rows of
+``coinvariants``.  Both flavors serve ``coaction_vec`` from one table per
+label: ``BasisComodule`` builds it whole, ``AlgebraComodule`` fills it from
+``coaction_raw`` on each label's first read.  All of this goes with M, so a
+catalog entry rebuilt after ``catalog._cache.clear()`` holds none of it.
+The comodules returned are shared: do not mutate them.  The unit's
+corrected rows, kernels and answers (coinvariants, summands, morphism
+checks) are computed on every call.
 
 A J-quotient is read through the one map ``jinv.quotient_with_map`` returns:
 ``remap`` is None exactly on the ideal and otherwise gives the quotient's
@@ -58,12 +61,15 @@ finds 1 and G on C alone, never on the whole of H, and keeps them on H; only
 the coaction terms h (x) b' with h among them enter the equations.  On a
 coaction that fails ``verify``, both answers are those of these terms only.
 
-Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one sparse row per
-kept coaction term of rho(b) - 1 (x) b, built with no zero entry and found
-by one ``_linalg`` elimination, either globally or one degree at a time
-(reading that degree's labels off ``by_degree``).  The columns run in
-reverse label order, so the kernel basis, read backwards, is already the
-reduced row echelon basis in (degree, label) order that is returned.
+Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one row per kept
+coaction term of rho(b) - 1 (x) b, found by one ``_linalg`` elimination,
+either globally or one degree at a time (reading that degree's labels off
+``by_degree`` and its coactions only).  Each call selects the rows of the
+kept H-monomials from the transposed coaction, subtracts 1 (x) b from the
+unit's rows (an XOR at p = 2), drops zero rows, and at p = 2 drops repeated
+packed rows, which ``_linalg`` takes packed as they are.  The columns run
+in reverse label order, so the kernel basis, read backwards, is already
+the reduced row echelon basis in (degree, label) order that is returned.
 
 ``quadric_comodule(n, J)`` builds the cell comodule of an n-2 dimensional
 quadric over the quotient of the mod-2 Borel form of SO_n by a J-tuple:
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
+from itertools import chain
 
 from . import _linalg, dual
 from .algebra import (Algebra, SchemaError, _check_keys, _check_rules,
@@ -129,17 +136,32 @@ class _ComoduleBase:
 
     @cached_property
     def _monomials(self):
-        """degree (None: every label) -> the frozenset of H-monomials of rho
-        on the labels of that degree, each read on first use
-        (``_monomials_of``)."""
+        """degree (None: every label) -> the coaction on the labels of that
+        degree transposed, each built on first use (``_rows_of``)."""
         return {}
 
-    def _monomials_of(self, degree):
+    def _rows_of(self, degree):
+        """{h: {b': row}}: the coaction on the labels of ``degree`` (None:
+        every label) transposed, where a row holds, for each label b, the
+        coefficient of h (x) b' in rho(b).  Its columns are those of
+        ``coinvariants``, the labels in reverse: at p = 2 a row is packed
+        into an int with bit i for the i-th label, and at any other p it is
+        a {column: coeff} dict.  Its keys are the H-monomials of rho on
+        those labels.  Built once; do not mutate."""
         out = self._monomials.get(degree)
         if out is None:
-            labels = self.labels if degree is None else self.by_degree.get(degree, ())
-            out = self._monomials[degree] = frozenset(
-                hm for lab in labels for hm, _lab in self.coaction_vec(lab))
+            labels = self.position if degree is None else self.by_degree.get(degree, ())
+            out = self._monomials[degree] = {}
+            if self.H.prime == 2:
+                for i, b in enumerate(labels):
+                    bit = 1 << i
+                    for (h, b2), _c in self.coaction_vec(b).items():
+                        rows = out.setdefault(h, {})
+                        rows[b2] = rows.get(b2, 0) | bit
+            else:
+                for j, b in enumerate(reversed(labels)):
+                    for (h, b2), c in self.coaction_vec(b).items():
+                        out.setdefault(h, {}).setdefault(b2, {})[j] = c
         return out
 
     @cached_property
@@ -293,6 +315,10 @@ def coinvariants(M, degree=None):
     degree can have coinvariants that mix degrees; those lie in no single
     degree and appear only in the global answer.  Vectors are reduced row
     echelon over the labels in (degree, label) order, sorted by pivot.
+
+    The equation rows are read off the coaction transposed, kept on M per
+    degree (``_rows_of``); only the unit's rows, less 1 (x) b, are built
+    here, and at p = 2 the rows go to the elimination packed and distinct.
     """
     H = M.H
     p, unit = H.prime, H.unit_mono
@@ -301,22 +327,25 @@ def coinvariants(M, degree=None):
     # non-pivot column f and nonzero elsewhere only at pivots below f, that
     # is at later labels, so read backwards the kernel basis is reduced
     cols = list(reversed(labels))
-    kept = dual.coefficient_generators(H, M._monomials_of(degree))
-    rows = {}  # kept coaction term -> {column: coefficient}
-    for j, b in enumerate(cols):
-        vec = M.coaction_vec(b)
-        own = (unit, b)
-        for k, c in vec.items():
-            if k == own:
-                c -= 1
-                if not c % p:
-                    continue
-            elif k[0] not in kept:
-                continue
-            rows.setdefault(k, {})[j] = c
-        if own not in vec:
-            rows.setdefault(own, {})[j] = -1
-    kernel = _linalg.kernel_basis(list(rows.values()), len(cols), p)
+    index = M._rows_of(degree)
+    kept = dual.coefficient_generators(H, index.keys())
+    # the unit's rows, less 1 (x) b for each label b
+    own = dict(index.get(unit, ()))
+    if p == 2:
+        for i, b in enumerate(labels):
+            own[b] = own.get(b, 0) ^ 1 << i
+    else:
+        for j, b in enumerate(cols):
+            row = own[b] = dict(own.get(b, ()))
+            if c := (row.get(j, 0) - 1) % p:
+                row[j] = c
+            else:
+                del row[j]
+    rows = chain.from_iterable([own.values()] + [
+        hrows.values() for h, hrows in index.items() if h in kept and h != unit])
+    if p == 2:
+        rows = dict.fromkeys(rows)  # drops repeated packed rows
+    kernel = _linalg.kernel_basis([row for row in rows if row], len(cols), p)
     return [{cols[j]: v[j] for j in sorted(v, reverse=True)}
             for v in reversed(kernel)]
 
@@ -408,7 +437,7 @@ def is_comodule_morphism(M, N, f):
     if M.H != N.H:
         raise ValueError("morphisms require a common bialgebra")
     p = M.H.prime
-    kept = dual.coefficient_generators(M.H, M._monomials_of(None) | N._monomials_of(None))
+    kept = dual.coefficient_generators(M.H, M._rows_of(None).keys() | N._rows_of(None).keys())
     for b in M.labels:
         lhs = _mod_sum(p, ((key, c * d) for nl, c in f.get(b, {}).items()
                            for key, d in N.coaction_vec(nl).items() if key[0] in kept))

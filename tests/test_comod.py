@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import weakref
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +324,20 @@ def unverified_comodule():
                           "d": [(1, one, "a"), (1, one, "d")]})
 
 
+def unverified_comodule_p2():
+    """rho(a) = 0, rho(b) = 1 (x) b + x (x) a, rho(c) = 1 (x) c + x (x) c and
+    rho(d) = 1 (x) a + 1 (x) d over F_2[x]/(x^2): the twin of
+    ``unverified_comodule``.  The unit's row for a holds d's column, and
+    a's own column is XORed in; the unit's rows for c and d cancel to 0.
+    Only a + d is coinvariant."""
+    H = primitive_bialgebra(2, (GeneratorDecl("x", 1, 2),))
+    one, x = H.unit_mono, (1,)
+    return BasisComodule(H, "abcd", {"a": 0, "b": 1, "c": 0, "d": 0},
+                         {"b": [(1, one, "b"), (1, x, "a")],
+                          "c": [(1, one, "c"), (1, x, "c")],
+                          "d": [(1, one, "a"), (1, one, "d")]})
+
+
 def test_tensor_square_coinvariants_match_oracle():
     M = catalog.get("e7p7.mod2")
     T = tensor_comodule(M, M)
@@ -348,10 +363,12 @@ def test_small_coinvariants_match_oracle():
     mixing = BasisComodule(H, ["a", "b"], {"a": 0, "b": 1},
                            {"a": [(1, one, "a"), (1, x, "b")],
                             "b": [(1, one, "b"), (1, x, "b")]})
-    odd = unverified_comodule()
-    assert not verify_comodule(odd)
-    assert coinvariants(odd) == coinvariants(odd, 0) == [{"a": 1, "d": 1}]
-    for M in (json_comodule_p3(), mixing, odd):
+    odd, odd2 = unverified_comodule(), unverified_comodule_p2()
+    for M in (odd, odd2):
+        assert not verify_comodule(M)
+        assert coinvariants(M) == coinvariants(M, 0) == [{"a": 1, "d": 1}]
+        assert coinvariants(M, 1) == []
+    for M in (json_comodule_p3(), mixing, odd, odd2):
         assert_coinvariants_match_oracle(M)
 
 
@@ -487,19 +504,36 @@ def test_coinvariants_build_no_dual_of_the_whole_bialgebra(monkeypatch):
 
 def test_tensor_square_degrees_hand_the_kernel_only_the_kept_rows(monkeypatch):
     """The 55 degree calls on the e7p7.mod2 square hand ``kernel_basis``
-    7,276 rows in all, against 13,220 rows with every coaction term."""
+    4,668 packed rows in all: the distinct nonzero ones among the 7,276
+    rows of kept coaction terms (13,220 with every term), each packed with
+    bit i for the i-th label of the degree."""
     M = catalog.get("e7p7.mod2")
     T = tensor_comodule(M, M)
-    sizes = []
+    H, seen = T.H, {}
     kernel_basis = _linalg.kernel_basis
 
     def counting(rows, ncols, p):
-        sizes.append(len(rows))
+        assert p == 2 and all(type(x) is int and 0 < x < 1 << ncols for x in rows)
+        seen[ncols] = rows
         return kernel_basis(rows, ncols, p)
     monkeypatch.setattr(_linalg, "kernel_basis", counting)
-    for d in T.by_degree:
+    total = built = 0
+    for d, labels in T.by_degree.items():
         coinvariants(T, d)
-    assert len(sizes) == 55 and sum(sizes) == 7276
+        rows = seen.pop(len(labels))
+        assert len(set(rows)) == len(rows)
+        kept = dual.coefficient_generators(
+            H, {hm for b in labels for hm, _b in T.coaction_vec(b)})
+        want = {}
+        for i, b in enumerate(labels):
+            for (hm, b2), _c in T.coaction_vec(b).items():
+                if hm in kept:
+                    want[hm, b2] = want.get((hm, b2), 0) ^ 1 << i
+            want[H.unit_mono, b] = want.get((H.unit_mono, b), 0) ^ 1 << i
+        assert set(rows) == set(want.values()) - {0}, d
+        total += len(rows)
+        built += sum(1 for x in want.values() if x)
+    assert (total, built) == (4668, 7276)
 
 
 # -- the graded End system of a block ---------------------------------------------
@@ -807,6 +841,73 @@ def test_tensor_of_random_comodules_matches_oracle(pair):
     assert list(got.position.items()) == list(want.position.items())
 
 
+@st.composite
+def verified_comodules(draw):
+    """A comodule over F_p[x]/(x^n), x primitive and n a power of p (so that
+    H is a bialgebra), that passes ``verify``: a direct sum of spans of
+    1, x, ..., x^k in the regular comodule, rho(a_m) = sum_j C(m, j) x^j (x)
+    a_(m-j), moved by random changes of basis b -> b + c b' and given random
+    degrees.  The counit law keeps 1 (x) b the unit part of each rho(b), so
+    only the draws of ``comodule_pairs`` move the unit's rows off it."""
+    p, n = draw(st.sampled_from([(2, 2), (2, 4), (3, 3), (5, 5)]))
+    H = primitive_bialgebra(p, (GeneratorDecl("x", 1, n),))
+    rho = {}
+    for s, k in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))):
+        for m in range(k + 1):
+            rho[s, m] = {((j,), (s, m - j)): comb(m, j) for j in range(m + 1)}
+    labels = list(rho)
+    for _ in range(draw(st.integers(0, 4))):
+        b, b2 = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+        c = draw(st.integers(1, p - 1))
+        if b == b2:
+            continue
+        # the new b is the old b + c b2, so the old b is the new b - c b2
+        vec = rho[b] = dict(rho[b])
+        for key, d in rho[b2].items():
+            vec[key] = vec.get(key, 0) + c * d
+        for vec in rho.values():
+            for (hm, lab), d in list(vec.items()):
+                if lab == b:
+                    vec[hm, b2] = vec.get((hm, b2), 0) - c * d
+    return BasisComodule(H, labels, {lab: draw(st.integers(0, 2)) for lab in labels},
+                         {lab: [(c, hm, l) for (hm, l), c in vec.items()]
+                          for lab, vec in rho.items()})
+
+
+def kept_terms(M, degree):
+    """M with only the coaction terms h (x) b' that ``coinvariants(M, degree)``
+    solves for: h = 1 or f_h among the generators of C^dual, C spanned by
+    the H-monomials of rho on the labels of that degree (None: every label)."""
+    labels = M.labels if degree is None else M.by_degree.get(degree, ())
+    kept = dual.coefficient_generators(
+        M.H, {hm for b in labels for hm, _b in M.coaction_vec(b)})
+    return BasisComodule(M.H, M.labels, {b: M.degree_of(b) for b in M.labels},
+                         {b: [(c, hm, b2) for (hm, b2), c in M.coaction_vec(b).items()
+                              if hm in kept] for b in M.labels})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(comodule_pairs().map(lambda pair: (pair[0], False)),
+                 verified_comodules().map(lambda M: (M, True))))
+@example((unverified_comodule(), False))
+@example((unverified_comodule_p2(), False))
+def test_coinvariants_of_random_comodules_match_oracle(case):
+    """In every degree and globally, the coinvariants are what the oracle
+    finds on the kept coaction terms alone, and on a comodule that passes
+    ``verify`` (every draw of ``verified_comodules`` does) what it finds on
+    every term; the kept index of each degree is a fresh transpose of its
+    coactions."""
+    M, drawn_verified = case
+    verified = bool(verify_comodule(M))
+    assert verified or not drawn_verified
+    for d in [None, *M.by_degree]:
+        got = [list(v.items()) for v in coinvariants(M, d)]
+        assert got == [list(v.items()) for v in coinvariants_oracle(kept_terms(M, d), d)], d
+        if verified:
+            assert got == [list(v.items()) for v in coinvariants_oracle(M, d)], d
+        assert M._rows_of(d) == transposed_oracle(M, d), d
+
+
 def test_tensor_square_reads_each_coaction_once_and_shares_keys(monkeypatch):
     """Equal keys of the e7p7.mod2 square are one object, and each factor's
     coaction is read once per label (each read of an ``AlgebraComodule``
@@ -932,17 +1033,41 @@ def monomial_index_cases(key):
     return cases + [tensor_comodule(M, M)] * (key == "e7p7.mod2")
 
 
+def transposed_oracle(M, degree):
+    """The coaction on the labels of ``degree`` (None: every label),
+    transposed afresh from dense coefficient lists: {h: {b': row}}, the i-th
+    entry of the list of (h, b') the coefficient of h (x) b' in rho of the
+    i-th label, packed as bit i at p = 2 and otherwise at column n - 1 - i."""
+    labels = list(M.position) if degree is None else M.by_degree.get(degree, [])
+    n, p = len(labels), M.H.prime
+    dense = {}
+    for i, b in enumerate(labels):
+        for (hm, b2), c in M.coaction_vec(b).items():
+            dense.setdefault(hm, {}).setdefault(b2, [0] * n)[i] = c
+    if p == 2:
+        return {hm: {b2: int("".join(map(str, reversed(cs))), 2) for b2, cs in rows.items()}
+                for hm, rows in dense.items()}
+    return {hm: {b2: {n - 1 - i: c for i, c in enumerate(cs) if c} for b2, cs in rows.items()}
+            for hm, rows in dense.items()}
+
+
 @pytest.mark.parametrize("key", ["e7p7.mod2", "e8p8.mod3"])
 def test_monomial_index_matches_a_fresh_scan(key):
-    """The kept H-monomials of rho on the labels of each degree (None: every
-    label) are those a scan of their coactions finds, and stay kept."""
+    """The kept transposed coaction of each degree (None: every label) is a
+    fresh transpose, holds no zero row, and stays kept; its keys are the
+    H-monomials a scan of the coactions finds.  Its rows are packed ints at
+    p = 2 (e7p7.mod2, its restrictions and its square) and dicts at p = 3."""
     for M in monomial_index_cases(key):
+        row_type = int if M.H.prime == 2 else dict
         empty = max(M.by_degree) + 1
         for d, labels in [*M.by_degree.items(), (None, M.labels), (empty, ())]:
             scan = {hm for lab in labels for hm, _lab in M.coaction_vec(lab)}
-            got = M._monomials_of(d)
-            assert type(got) is frozenset and got == scan, d
-            assert M._monomials_of(d) is got is M._monomials[d]
+            got = M._rows_of(d)
+            assert got == transposed_oracle(M, d), d
+            assert got.keys() == scan, d
+            assert all(type(row) is row_type and row
+                       for rows in got.values() for row in rows.values())
+            assert M._rows_of(d) is got is M._monomials[d]
 
 
 def test_a_degree_reads_only_its_own_coactions(monkeypatch):

@@ -92,6 +92,12 @@ def dense(row, ncols):
     return [row.get(k, 0) for k in range(ncols)]
 
 
+def packed(rows, ncols):
+    """The rows as the ints ``_linalg`` accepts at p = 2: column j at bit
+    ncols - 1 - j, set where the coefficient is odd; repeats kept."""
+    return [sum(1 << (ncols - 1 - k) for k, c in row.items() if c % 2) for row in rows]
+
+
 def rank(rows, ncols, p):
     return sympy_rank_mod_p([dense(r, ncols) for r in rows], p)
 
@@ -198,6 +204,13 @@ def test_add_closure_spans_the_least_closed_subspace(case, maps):
     assert len(new) == len(span) == rank(new, ncols, p)
 
 
+def entries(out):
+    """(rref, kernel) output with every row and vector as its list of items,
+    so that == also compares the order of the entries."""
+    (reduced, pivots), kernel = out
+    return ([list(r.items()) for r in reduced], pivots), [list(v.items()) for v in kernel]
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices(), st.randoms(use_true_random=False))
 @example((2, 6, [{0: 1, 3: 3, 5: 1}, {1: 1, 3: -1}, {}, {0: 3, 3: 1, 5: 5}, {2: 2}]),
@@ -208,8 +221,14 @@ def test_rref_and_kernel_do_not_depend_on_row_order(case, rnd):
     want_rref = oracle_rref(rows, ncols, p)
     want_kernel = oracle_kernel_basis(rows, ncols, p)
     for order in (rows, shuffled, rows[::-1]):
-        assert _linalg.rref(order, ncols, p) == want_rref
-        assert _linalg.kernel_basis(order, ncols, p) == want_kernel
+        got = _linalg.rref(order, ncols, p), _linalg.kernel_basis(order, ncols, p)
+        assert got == (want_rref, want_kernel)
+        if p == 2:
+            # the same rows handed over packed give the same output, down to
+            # the order of each row's and each vector's entries
+            pre = _linalg.rref(packed(order, ncols), ncols, 2), \
+                _linalg.kernel_basis(packed(order, ncols), ncols, 2)
+            assert entries(pre) == entries(got)
 
 
 @st.composite
@@ -242,6 +261,10 @@ def test_f2_rref_and_kernel_match_the_oracle(case):
     # down to the order of each vector's entries
     unpacked = _linalg._kernel(_linalg._f2_reduced(rows, ncols), ncols, 2)
     assert [list(v.items()) for v in kernel] == [list(v.items()) for v in unpacked]
+    # handed over packed, repeats included, the rows give the same output
+    pre = _linalg.rref(packed(rows, ncols), ncols, 2), \
+        _linalg.kernel_basis(packed(rows, ncols), ncols, 2)
+    assert entries(pre) == entries(((reduced, pivots), kernel))
 
 
 @pytest.mark.parametrize("p, ncols, c", [(5, 40, 2), (2, 240, 3)],
