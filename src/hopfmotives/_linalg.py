@@ -1,25 +1,22 @@
 """Sparse Gaussian elimination over F_p.
 
-A row is a mapping {column: coefficient}.  Inputs may be any such mapping
-(a dict or a Counter), with zero, negative or >= p coefficients, or at
-p = 2 a packed int (below); every row returned is a dict holding only
-nonzero coefficients in 1..p-1.  Columns are ints in range(ncols), and a
-row's pivot is its least column.
+``rows`` is the one builder of a system and the one place that knows its
+row format.  It sums (key, column, coefficient) entries into one row per
+key, mod p, and keeps the distinct nonzero rows in first-seen order.
+Columns are ints in range(ncols).  At p = 2 a row is an int, column j at
+bit ncols - 1 - j; at any other p it is a {column: coefficient} dict with
+coefficients in 1..p-1.  ``kernel_basis`` takes those rows as they are.
 
-``rref`` and ``kernel_basis`` choose a route by p.  At p = 2 each row is
-packed into an int, one bit per column (column j at bit ncols - 1 - j),
-set when the coefficient is odd, and repeated rows are dropped in
-first-seen order (``_f2_pack``).  A caller may hand every row already
-packed in that layout; such rows are taken as they are, repeats
-included.  The packed rows are eliminated by XOR, sparsest first, with one back-substitution at
-the end (``_f2_echelon``).  ``kernel_basis`` reads its vectors straight off
-those packed rows, and only ``rref`` unpacks them into dicts.  At any other
-p the rows are added, sparsest first, to an ``Echelon``, which eliminates
-forward only: each added vector is reduced against the pivots already
-held, and back-substitution waits until the reduced form is read.
+At p = 2 the packed rows are eliminated by XOR, sparsest first, with one
+back-substitution at the end, and the kernel is read straight off them
+(``_f2_kernel``).  At any other p the rows are added, sparsest first, to an
+``Echelon``, which eliminates forward only: each added vector is reduced
+against the pivots already held, and back-substitution waits until the
+reduced form is read.  An ``Echelon`` takes any {column: coefficient}
+mapping, zero, negative or >= p coefficients included; the rows it holds
+keep only coefficients in 1..p-1, and a row's pivot is its least column.
 The reduced row echelon form of a span is unique, so neither the route,
-the packing, the row order nor the moment of back-substitution changes any
-result.
+the row order nor the moment of back-substitution changes any result.
 """
 
 from __future__ import annotations
@@ -106,43 +103,50 @@ class Echelon:
         return new
 
     def kernel(self):
-        """Basis of the right kernel of the rows, by non-pivot column."""
-        return _kernel(self.rows, self.ncols, self.p)
+        """Basis of the right kernel of the rows, one vector per non-pivot
+        column f: 1 at f, and minus row r's f-coefficient at r's pivot."""
+        p, rows = self.p, self.rows
+        basis = {f: {f: 1} for f in range(self.ncols) if f not in rows}
+        for piv, row in rows.items():
+            for f, c in row.items():
+                if f != piv:
+                    basis[f][piv] = -c % p
+        return list(basis.values())
 
 
-def _kernel(rows, ncols, p):
-    """The kernel of {pivot: row} in reduced form, one vector per non-pivot
-    column f: 1 at f, and minus row r's f-coefficient at r's pivot."""
-    basis = {f: {f: 1} for f in range(ncols) if f not in rows}
-    for piv, row in rows.items():
-        for f, c in row.items():
-            if f != piv:
-                basis[f][piv] = -c % p
-    return list(basis.values())
+def rows(entries, ncols, p):
+    """The distinct nonzero rows of a system, in first-seen order of their
+    keys: row ``key`` is the sum mod p of c at column j over the entries
+    (key, j, c).  At p = 2 a row is an int with column j at bit
+    ncols - 1 - j, and otherwise a {column: coefficient} dict."""
+    acc = {}  # key -> row
+    if p == 2:
+        for key, j, c in entries:
+            acc[key] = acc.get(key, 0) ^ (c & 1) << (ncols - 1 - j)
+        distinct = dict.fromkeys(acc.values())
+        distinct.pop(0, None)
+        return list(distinct)
+    for key, j, c in entries:
+        row = acc.get(key)
+        if row is None:
+            acc[key] = {j: x} if (x := c % p) else {}
+        elif x := (row.get(j, 0) + c) % p:
+            row[j] = x
+        else:
+            row.pop(j, None)
+    distinct = {}  # the row's entries -> the row
+    for row in acc.values():
+        if row:
+            distinct.setdefault(frozenset(row.items()), row)
+    return list(distinct.values())
 
 
-def _f2_pack(rows, ncols):
-    """The rows packed into ints, column j at bit ncols - 1 - j, set where
-    the coefficient is odd, with repeats dropped in first-seen order.  Rows
-    already packed are returned as they are."""
-    if not rows or isinstance(rows[0], int):
-        return rows
-    packed = {}  # packed row -> None, in first-seen order
-    for row in rows:
-        x = 0
-        for k, c in row.items():
-            if c & 1:
-                x |= 1 << (ncols - 1 - k)
-        packed[x] = None
-    return packed
-
-
-def _f2_echelon(packed):
-    """The reduced row echelon form over F_2 of packed rows, as packed rows
-    {b: row} by ascending b, where b is a row's bit length, so that on
-    ncols columns its pivot column is ncols - b."""
+def _f2_kernel(packed, ncols):
+    """``Echelon.kernel`` of packed rows over F_2: the rows are reduced by
+    XOR, and then each set bit but the pivot of a reduced row puts 1 at that
+    row's pivot in the vector of the bit's column."""
     # a row's pivot is its highest bit, read off int.bit_length() without
-    # building a new int
+    # building a new int: a row of bit length b has pivot column ncols - b
     held = {}  # bit length -> packed row
     for x in sorted(packed, key=int.bit_count):
         while x and (b := x.bit_length()) in held:
@@ -161,26 +165,6 @@ def _f2_echelon(packed):
             x ^= reduced[q]
             rest ^= 1 << (q - 1)
         reduced[b] = x
-    return reduced
-
-
-def _f2_reduced(rows, ncols):
-    """{pivot: row} in reduced row echelon form over F_2, unpacked."""
-    reduced = {}
-    for b, x in _f2_echelon(_f2_pack(rows, ncols)).items():
-        row = reduced[ncols - b] = {}
-        while x:
-            q = x.bit_length()
-            row[ncols - q] = 1
-            x ^= 1 << (q - 1)
-    return reduced
-
-
-def _f2_kernel(rows, ncols):
-    """``_kernel`` over F_2, read straight off the packed reduced rows: each
-    set bit but the pivot of a row puts 1 at that row's pivot in the vector
-    of the bit's column."""
-    reduced = _f2_echelon(_f2_pack(rows, ncols))
     basis = {f: {f: 1} for f in range(ncols) if ncols - f not in reduced}
     for b, x in reduced.items():
         piv = ncols - b
@@ -192,24 +176,12 @@ def _f2_kernel(rows, ncols):
     return list(basis.values())
 
 
-def _reduced(rows, ncols, p):
+def kernel_basis(rows, ncols, p):
+    """Basis of the right kernel of rows built by ``rows``, ordered by
+    non-pivot column."""
     if p == 2:
-        return _f2_reduced(rows, ncols)
+        return _f2_kernel(rows, ncols)
     ech = Echelon(ncols, p)
     for row in sorted(rows, key=len):
         ech.add(row)
-    return ech.rows
-
-
-def rref(rows, ncols, p):
-    """Reduced row echelon form: (nonzero rows by ascending pivot, pivots)."""
-    reduced = _reduced(rows, ncols, p)
-    pivots = sorted(reduced)
-    return [reduced[c] for c in pivots], pivots
-
-
-def kernel_basis(rows, ncols, p):
-    """Basis of the right kernel of the rows, ordered by non-pivot column."""
-    if p == 2:
-        return _f2_kernel(rows, ncols)
-    return _kernel(_reduced(rows, ncols, p), ncols, p)
+    return ech.kernel()

@@ -30,19 +30,15 @@ comodule without a second normalization; a restriction keeps the
 
 A comodule M keeps the structure derived from it, built on first use: one
 M (x) N per N (``_tensors``, weakly keyed, so it never keeps N alive), one
-restriction per J-tuple (``_restrictions``), and, per degree (None for all
-labels), the coaction on those labels transposed (``_monomials``, read
-through ``_rows_of``): {h: {b': row}}, a row holding for each label b the
-coefficient of h (x) b' in rho(b), packed into an int at p = 2.  Its keys
-are the H-monomials that ``coinvariants`` and ``is_comodule_morphism`` hand
-to ``dual.coefficient_generators``, and its rows are the equation rows of
-``coinvariants``.  Both flavors serve ``coaction_vec`` from one table per
+restriction per J-tuple (``_restrictions``), and one finished equation
+system per degree, None for all labels (``_systems``, read through
+``_system``).  Both flavors serve ``coaction_vec`` from one table per
 label: ``BasisComodule`` builds it whole, ``AlgebraComodule`` fills it from
 ``coaction_raw`` on each label's first read.  All of this goes with M, so a
 catalog entry rebuilt after ``catalog._cache.clear()`` holds none of it.
-The comodules returned are shared: do not mutate them.  The unit's
-corrected rows, kernels and answers (coinvariants, summands, morphism
-checks) are computed on every call.
+The comodules returned are shared: do not mutate them.  Kernels and
+answers (coinvariants, summands, morphism checks) are computed on every
+call.
 
 A J-quotient is read through the one map ``jinv.quotient_with_map`` returns:
 ``remap`` is None exactly on the ideal and otherwise gives the quotient's
@@ -62,14 +58,13 @@ the coaction terms h (x) b' with h among them enter the equations.  On a
 coaction that fails ``verify``, both answers are those of these terms only.
 
 Coinvariants {x : rho(x) = 1 (x) x} are the kernel of one row per kept
-coaction term of rho(b) - 1 (x) b, found by one ``_linalg`` elimination,
-either globally or one degree at a time (reading that degree's labels off
-``by_degree`` and its coactions only).  Each call selects the rows of the
-kept H-monomials from the transposed coaction, subtracts 1 (x) b from the
-unit's rows (an XOR at p = 2), drops zero rows, and at p = 2 drops repeated
-packed rows, which ``_linalg`` takes packed as they are.  The columns run
-in reverse label order, so the kernel basis, read backwards, is already
-the reduced row echelon basis in (degree, label) order that is returned.
+coaction term of rho(b) - 1 (x) b, either globally or one degree at a time
+(reading that degree's labels off ``by_degree`` and its coactions only).
+The first call for a degree builds its system through ``_linalg.rows``,
+which drops zero and repeated rows, and keeps it; every call hands it to
+``_linalg.kernel_basis`` as it is.  The columns run in reverse label order,
+so the kernel basis, read backwards, is already the reduced row echelon
+basis in (degree, label) order that is returned.
 
 ``quadric_comodule(n, J)`` builds the cell comodule of an n-2 dimensional
 quadric over the quotient of the mod-2 Borel form of SO_n by a J-tuple:
@@ -83,7 +78,6 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from itertools import chain
 
 from . import _linalg, dual
 from .algebra import (Algebra, SchemaError, _check_keys, _check_rules,
@@ -135,34 +129,31 @@ class _ComoduleBase:
         return out
 
     @cached_property
-    def _monomials(self):
-        """degree (None: every label) -> the coaction on the labels of that
-        degree transposed, each built on first use (``_rows_of``)."""
+    def _systems(self):
+        """degree (None: every label) -> the equation system of the
+        coinvariants of that degree, each built on first use (``_system``)."""
         return {}
 
-    def _rows_of(self, degree):
-        """{h: {b': row}}: the coaction on the labels of ``degree`` (None:
-        every label) transposed, where a row holds, for each label b, the
-        coefficient of h (x) b' in rho(b).  Its columns are those of
-        ``coinvariants``, the labels in reverse: at p = 2 a row is packed
-        into an int with bit i for the i-th label, and at any other p it is
-        a {column: coeff} dict.  Its keys are the H-monomials of rho on
-        those labels.  Built once; do not mutate."""
-        out = self._monomials.get(degree)
-        if out is None:
-            labels = self.position if degree is None else self.by_degree.get(degree, ())
-            out = self._monomials[degree] = {}
-            if self.H.prime == 2:
-                for i, b in enumerate(labels):
-                    bit = 1 << i
-                    for (h, b2), _c in self.coaction_vec(b).items():
-                        rows = out.setdefault(h, {})
-                        rows[b2] = rows.get(b2, 0) | bit
-            else:
-                for j, b in enumerate(reversed(labels)):
-                    for (h, b2), c in self.coaction_vec(b).items():
-                        out.setdefault(h, {}).setdefault(b2, {})[j] = c
-        return out
+    def _system(self, degree):
+        """(columns, rows): the equation system of ``coinvariants(self,
+        degree)``.  The columns are the labels of ``degree`` (None: every
+        label) from the last; the rows, built by ``_linalg.rows``, are the
+        distinct nonzero rows of rho(b) - 1 (x) b, one per term h (x) b' with
+        h = 1 or f_h a generator of C^dual, C spanned by the H-monomials of
+        rho on those labels closed under Delta.  Built once; do not mutate."""
+        system = self._systems.get(degree)
+        if system is None:
+            cols = list(reversed(self.position if degree is None
+                                 else self.by_degree.get(degree, ())))
+            vecs = [self.coaction_vec(b) for b in cols]
+            H = self.H
+            kept = dual.coefficient_generators(H, {h for vec in vecs for h, _b in vec})
+            unit = H.unit_mono
+            entries = [(key, j, c) for j, vec in enumerate(vecs)
+                       for key, c in vec.items() if key[0] in kept]
+            entries += [((unit, b), j, -1) for j, b in enumerate(cols)]
+            system = self._systems[degree] = cols, _linalg.rows(entries, len(cols), H.prime)
+        return system
 
     @cached_property
     def _tensors(self):
@@ -316,36 +307,14 @@ def coinvariants(M, degree=None):
     degree and appear only in the global answer.  Vectors are reduced row
     echelon over the labels in (degree, label) order, sorted by pivot.
 
-    The equation rows are read off the coaction transposed, kept on M per
-    degree (``_rows_of``); only the unit's rows, less 1 (x) b, are built
-    here, and at p = 2 the rows go to the elimination packed and distinct.
+    The equation system is kept on M per degree (``_system``); each call
+    computes only its kernel and reads it back.
     """
-    H = M.H
-    p, unit = H.prime, H.unit_mono
-    labels = M.position if degree is None else M.by_degree.get(degree, ())
     # columns count the labels from the last: a kernel vector is 1 at its
     # non-pivot column f and nonzero elsewhere only at pivots below f, that
     # is at later labels, so read backwards the kernel basis is reduced
-    cols = list(reversed(labels))
-    index = M._rows_of(degree)
-    kept = dual.coefficient_generators(H, index.keys())
-    # the unit's rows, less 1 (x) b for each label b
-    own = dict(index.get(unit, ()))
-    if p == 2:
-        for i, b in enumerate(labels):
-            own[b] = own.get(b, 0) ^ 1 << i
-    else:
-        for j, b in enumerate(cols):
-            row = own[b] = dict(own.get(b, ()))
-            if c := (row.get(j, 0) - 1) % p:
-                row[j] = c
-            else:
-                del row[j]
-    rows = chain.from_iterable([own.values()] + [
-        hrows.values() for h, hrows in index.items() if h in kept and h != unit])
-    if p == 2:
-        rows = dict.fromkeys(rows)  # drops repeated packed rows
-    kernel = _linalg.kernel_basis([row for row in rows if row], len(cols), p)
+    cols, rows = M._system(degree)
+    kernel = _linalg.kernel_basis(rows, len(cols), M.H.prime)
     return [{cols[j]: v[j] for j in sorted(v, reverse=True)}
             for v in reversed(kernel)]
 
@@ -437,7 +406,8 @@ def is_comodule_morphism(M, N, f):
     if M.H != N.H:
         raise ValueError("morphisms require a common bialgebra")
     p = M.H.prime
-    kept = dual.coefficient_generators(M.H, M._rows_of(None).keys() | N._rows_of(None).keys())
+    kept = dual.coefficient_generators(M.H, {h for X in (M, N) for b in X.labels
+                                             for h, _b in X.coaction_vec(b)})
     for b in M.labels:
         lhs = _mod_sum(p, ((key, c * d) for nl, c in f.get(b, {}).items()
                            for key, d in N.coaction_vec(nl).items() if key[0] in kept))

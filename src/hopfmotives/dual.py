@@ -30,8 +30,9 @@ is commutative, so each block is local and carries at most one character: on
 a block e with residue field F_p, chi(f) e = (f e)^(p^K) = f^(p^K) e once p^K
 is at least the block's dimension.  Both run on ``TableAlgebra``, an algebra
 given by its structure constants: ``table[i][j]`` is the nonzero product
-b_i b_j, and it and every element are sparse {k: c} dicts, the row format
-of ``_linalg``.  Only ``Block.idempotent`` is a dense coordinate tuple.
+b_i b_j, and it and every element are sparse {k: c} dicts, the vectors
+of ``_linalg.Echelon``.  Only ``Block.idempotent`` is a dense coordinate
+tuple.
 
 ``coefficient_generators`` builds the same table on a Delta-closed set of
 monomials instead of the basis: the dual of the subcoalgebra they span,
@@ -144,12 +145,11 @@ def _sum(p, *terms):
 
 
 def _relations(vectors, p):
-    """Basis of the a = {n: a_n} with sum a_n v_n = 0."""
-    rows = {}  # coordinate k -> {n: k-th coordinate of v_n}
-    for n, v in enumerate(vectors):
-        for k, c in v.items():
-            rows.setdefault(k, {})[n] = c
-    return _linalg.kernel_basis(list(rows.values()), len(vectors), p)
+    """Basis of the a = {n: a_n} with sum a_n v_n = 0: one row per
+    coordinate k, holding the k-th coordinate of v_n at column n."""
+    n = len(vectors)
+    return _linalg.kernel_basis(_linalg.rows(
+        ((k, i, c) for i, v in enumerate(vectors) for k, c in v.items()), n, p), n, p)
 
 
 class DualAlgebra(TableAlgebra):
@@ -256,8 +256,7 @@ def _abelianization(A):
     if not A.commutators:
         return A, [{k: 1} for k in range(dim)]
     ideal = _linalg.Echelon(dim, p)
-    ideal.add_closure(_linalg.rref(list(A.commutators.values()), dim, p)[0],
-                      _generators(A), A.multiply)
+    ideal.add_closure(A.commutators.values(), _generators(A), A.multiply)
     pos = {k: n for n, k in enumerate(k for k in range(dim) if k not in ideal.rows)}
     proj = [{pos[k]: 1} if k in pos else {} for k in range(dim)]
     for k, row in ideal.rows.items():
@@ -295,8 +294,7 @@ class Block:
 
 def _block_dim(A, e):
     # rank of f -> e*f, spanned by the b_m*e as e is central
-    return len(_linalg.rref([A.multiply({m: 1}, e) for m in range(A.dim)],
-                            A.dim, A.p)[0])
+    return A.dim - len(_relations([A.multiply({m: 1}, e) for m in range(A.dim)], A.p))
 
 
 def _centre(A):
@@ -306,12 +304,11 @@ def _centre(A):
     (j, k), read off the nonzero commutators.  For a commutative A there are
     none, and Z is the whole of A.
     """
-    rows = {}  # (j, k) -> {i: [b_i, b_j]_k}
+    entries = []  # ((j, k), i, [b_i, b_j]_k)
     for (i, j), w in A.commutators.items():
         for k, c in w.items():
-            rows.setdefault((j, k), {})[i] = c
-            rows.setdefault((i, k), {})[j] = -c
-    return _linalg.kernel_basis(list(rows.values()), A.dim, A.p)
+            entries += ((j, k), i, c), ((i, k), j, -c)
+    return _linalg.kernel_basis(_linalg.rows(entries, A.dim, A.p), A.dim, A.p)
 
 
 def _block_idempotents(A):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _borel import borel_bialgebras, noncocommutative_bialgebra
+from _linalg_oracle import oracle_kernel_basis, oracle_rref
 from hopfmotives import _linalg, algebra, catalog, comod, dual
 from hopfmotives.comod import (AlgebraComodule, BasisComodule, _ComoduleBase,
                                _label_key, coinvariants, comodule_from_dict,
@@ -30,7 +31,6 @@ from hopfmotives.motdec import line_classes, partition_blocks
 
 from test_algebra import (NONCONFLUENT, NONCONFLUENT_ERROR, assert_extends,
                           repeated_product)
-from test_linalg import oracle_kernel_basis, oracle_rref
 
 
 def test_catalog_comodules_verify():
@@ -503,36 +503,37 @@ def test_coinvariants_build_no_dual_of_the_whole_bialgebra(monkeypatch):
 
 
 def test_tensor_square_degrees_hand_the_kernel_only_the_kept_rows(monkeypatch):
-    """The 55 degree calls on the e7p7.mod2 square hand ``kernel_basis``
-    4,668 packed rows in all: the distinct nonzero ones among the 7,276
-    rows of kept coaction terms (13,220 with every term), each packed with
-    bit i for the i-th label of the degree."""
+    """The 55 degree systems of a fresh e7p7.mod2 square hold 4,668 packed
+    rows in all: the distinct nonzero ones among the 7,276 rows of kept
+    coaction terms (13,220 with every term).  Each is built once, by the
+    first call for its degree, and every call hands it to ``kernel_basis``
+    as it is."""
+    monkeypatch.setattr(catalog, "_cache", {})
     M = catalog.get("e7p7.mod2")
     T = tensor_comodule(M, M)
-    H, seen = T.H, {}
-    kernel_basis = _linalg.kernel_basis
+    handed, builds = [], []
+    kernel_basis, rows = _linalg.kernel_basis, _linalg.rows
 
-    def counting(rows, ncols, p):
-        assert p == 2 and all(type(x) is int and 0 < x < 1 << ncols for x in rows)
-        seen[ncols] = rows
-        return kernel_basis(rows, ncols, p)
-    monkeypatch.setattr(_linalg, "kernel_basis", counting)
+    def counting_kernel(system, ncols, p):
+        handed.append(system)
+        return kernel_basis(system, ncols, p)
+
+    def counting_rows(entries, ncols, p):
+        builds.append(ncols)
+        return rows(entries, ncols, p)
+    monkeypatch.setattr(_linalg, "kernel_basis", counting_kernel)
+    monkeypatch.setattr(_linalg, "rows", counting_rows)
     total = built = 0
     for d, labels in T.by_degree.items():
-        coinvariants(T, d)
-        rows = seen.pop(len(labels))
-        assert len(set(rows)) == len(rows)
-        kept = dual.coefficient_generators(
-            H, {hm for b in labels for hm, _b in T.coaction_vec(b)})
-        want = {}
-        for i, b in enumerate(labels):
-            for (hm, b2), _c in T.coaction_vec(b).items():
-                if hm in kept:
-                    want[hm, b2] = want.get((hm, b2), 0) ^ 1 << i
-            want[H.unit_mono, b] = want.get((H.unit_mono, b), 0) ^ 1 << i
-        assert set(rows) == set(want.values()) - {0}, d
-        total += len(rows)
-        built += sum(1 for x in want.values() if x)
+        want = system_oracle(T, d)
+        for _ in range(2):
+            coinvariants(T, d)
+            assert handed.pop() is T._systems[d][1]
+        assert builds == [len(labels)], d
+        builds.clear()
+        assert_system_matches_oracle(T, d)
+        total += len(T._systems[d][1])
+        built += len(want)
     assert (total, built) == (4668, 7276)
 
 
@@ -576,7 +577,9 @@ def test_graded_end_of_each_block(key, nunknowns, nrows, dim):
     for block in blocks:
         rows, unknowns = graded_end_rows(M, block)
         assert (len(unknowns), len(rows)) == (nunknowns, nrows)
-        kernel = _linalg.kernel_basis(rows, len(unknowns), p)
+        system = _linalg.rows([(n, u, c) for n, row in enumerate(rows) for u, c in row.items()],
+                              len(unknowns), p)
+        kernel = _linalg.kernel_basis(system, len(unknowns), p)
         assert len(kernel) == dim
         assert kernel == oracle_kernel_basis(rows, len(unknowns), p)
         span = _linalg.Echelon(len(unknowns), p)
@@ -895,8 +898,7 @@ def test_coinvariants_of_random_comodules_match_oracle(case):
     """In every degree and globally, the coinvariants are what the oracle
     finds on the kept coaction terms alone, and on a comodule that passes
     ``verify`` (every draw of ``verified_comodules`` does) what it finds on
-    every term; the kept index of each degree is a fresh transpose of its
-    coactions."""
+    every term; the kept system of each degree is the oracle's."""
     M, drawn_verified = case
     verified = bool(verify_comodule(M))
     assert verified or not drawn_verified
@@ -905,7 +907,7 @@ def test_coinvariants_of_random_comodules_match_oracle(case):
         assert got == [list(v.items()) for v in coinvariants_oracle(kept_terms(M, d), d)], d
         if verified:
             assert got == [list(v.items()) for v in coinvariants_oracle(M, d)], d
-        assert M._rows_of(d) == transposed_oracle(M, d), d
+        assert_system_matches_oracle(M, d)
 
 
 def test_tensor_square_reads_each_coaction_once_and_shares_keys(monkeypatch):
@@ -1012,19 +1014,19 @@ def test_a_catalog_entry_rebuilt_after_clear_holds_nothing_kept(monkeypatch):
     T, Mq = tensor_comodule(M, M), restrict_comodule(M, (1, 0, 0))
     coinvariants(M)
     coinvariants(M, degree=9)
-    assert set(M._monomials) == {None, 9}
+    assert set(M._systems) == {None, 9}
     m_ref = weakref.ref(M)
     catalog._cache.clear()
     del M
     gc.collect()
     assert m_ref() is None
     M = catalog.get("e7p7.mod2")
-    assert len(M._tensors) == 0 and M._restrictions == {} and M._monomials == {}
+    assert len(M._tensors) == 0 and M._restrictions == {} and M._systems == {}
     assert tensor_comodule(M, M) is not T
     assert restrict_comodule(M, (1, 0, 0)) is not Mq
 
 
-def monomial_index_cases(key):
+def kept_system_cases(key):
     """A catalog cell comodule, its restrictions at every bi-ideal J-tuple,
     and for e7p7.mod2 its square."""
     M = catalog.get(key)
@@ -1033,51 +1035,76 @@ def monomial_index_cases(key):
     return cases + [tensor_comodule(M, M)] * (key == "e7p7.mod2")
 
 
-def transposed_oracle(M, degree):
-    """The coaction on the labels of ``degree`` (None: every label),
-    transposed afresh from dense coefficient lists: {h: {b': row}}, the i-th
-    entry of the list of (h, b') the coefficient of h (x) b' in rho of the
-    i-th label, packed as bit i at p = 2 and otherwise at column n - 1 - i."""
+def system_oracle(M, degree):
+    """The equation rows of ``coinvariants(M, degree)`` summed afresh, one
+    per kept coaction term h (x) b' (``kept_terms``) and zero rows left
+    out, repeats kept: the coefficients of h (x) b' in rho(b) - 1 (x) b
+    over the labels b of ``degree`` (None: every label).  The i-th of n
+    labels is bit i of an int at p = 2, and otherwise column n - 1 - i of a
+    frozenset of (column, coeff) items."""
     labels = list(M.position) if degree is None else M.by_degree.get(degree, [])
-    n, p = len(labels), M.H.prime
-    dense = {}
+    n, p, unit = len(labels), M.H.prime, M.H.unit_mono
+    kept = dual.coefficient_generators(
+        M.H, {hm for b in labels for hm, _b in M.coaction_vec(b)})
+    sums = {}
     for i, b in enumerate(labels):
-        for (hm, b2), c in M.coaction_vec(b).items():
-            dense.setdefault(hm, {}).setdefault(b2, [0] * n)[i] = c
-    if p == 2:
-        return {hm: {b2: int("".join(map(str, reversed(cs))), 2) for b2, cs in rows.items()}
-                for hm, rows in dense.items()}
-    return {hm: {b2: {n - 1 - i: c for i, c in enumerate(cs) if c} for b2, cs in rows.items()}
-            for hm, rows in dense.items()}
+        terms = [(key, c) for key, c in M.coaction_vec(b).items() if key[0] in kept]
+        for key, c in terms + [((unit, b), -1)]:
+            row = sums.setdefault(key, {})
+            row[i] = row.get(i, 0) + c
+    out = []
+    for row in sums.values():
+        row = {i: c % p for i, c in row.items() if c % p}
+        if row:
+            out.append(sum(1 << i for i in row) if p == 2
+                       else frozenset((n - 1 - i, c) for i, c in row.items()))
+    return out
+
+
+def assert_system_matches_oracle(M, degree):
+    """The kept system of ``degree`` has the labels from the last for its
+    columns and holds each row of the oracle once and nothing else, as
+    packed ints at p = 2 and dicts otherwise, and stays kept."""
+    system = cols, got = M._system(degree)
+    labels = list(M.position) if degree is None else M.by_degree.get(degree, [])
+    assert cols == labels[::-1], degree
+    row_type = int if M.H.prime == 2 else dict
+    assert all(type(x) is row_type for x in got), degree
+    rows = [x if row_type is int else frozenset(x.items()) for x in got]
+    assert len(set(rows)) == len(rows), degree
+    assert set(rows) == set(system_oracle(M, degree)), degree
+    assert M._system(degree) is system is M._systems[degree]
 
 
 @pytest.mark.parametrize("key", ["e7p7.mod2", "e8p8.mod3"])
-def test_monomial_index_matches_a_fresh_scan(key):
-    """The kept transposed coaction of each degree (None: every label) is a
-    fresh transpose, holds no zero row, and stays kept; its keys are the
-    H-monomials a scan of the coactions finds.  Its rows are packed ints at
-    p = 2 (e7p7.mod2, its restrictions and its square) and dicts at p = 3."""
-    for M in monomial_index_cases(key):
-        row_type = int if M.H.prime == 2 else dict
-        empty = max(M.by_degree) + 1
-        for d, labels in [*M.by_degree.items(), (None, M.labels), (empty, ())]:
-            scan = {hm for lab in labels for hm, _lab in M.coaction_vec(lab)}
-            got = M._rows_of(d)
-            assert got == transposed_oracle(M, d), d
-            assert got.keys() == scan, d
-            assert all(type(row) is row_type and row
-                       for rows in got.values() for row in rows.values())
-            assert M._rows_of(d) is got is M._monomials[d]
+def test_kept_systems_match_a_fresh_oracle(key):
+    """In each degree, globally and one past the last degree (empty), for
+    the comodule, its restrictions and (e7p7.mod2) its square."""
+    for M in kept_system_cases(key):
+        for d in [*M.by_degree, None, max(M.by_degree) + 1]:
+            assert_system_matches_oracle(M, d)
+
+
+def test_a_morphism_check_keeps_no_system(monkeypatch):
+    """``is_comodule_morphism`` reads the H-monomials straight off both
+    coactions: on a fresh e7p7.mod2 square it builds no equation system."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    M = catalog.get("e7p7.mod2")
+    T = tensor_comodule(M, M)
+    line = BasisComodule(M.H, ["b"], {"b": 0}, {"b": [(1, M.H.unit_mono, "b")]})
+    assert is_comodule_morphism(T, T, {ab: {ab: 1} for ab in T.labels}) == (True, None)
+    assert is_comodule_morphism(line, M, {"b": {(9, 0, 0): 1}}) == (True, None)
+    assert T._systems == {} and M._systems == {} and line._systems == {}
 
 
 def test_a_degree_reads_only_its_own_coactions(monkeypatch):
-    """A cold call in one degree fills the index and the coaction table of
+    """A cold call in one degree fills the system and the coaction table of
     that degree alone."""
     monkeypatch.setattr(catalog, "_cache", {})
     M = catalog.get("e7p7.mod2")
     before = set(M._table)
     assert coinvariants(M, degree=9) == [{(9, 0, 0): 1}]
-    assert list(M._monomials) == [9]
+    assert list(M._systems) == [9]
     assert set(M._table) - before == set(M.by_degree[9]) - before
 
 

@@ -1,9 +1,10 @@
 """Sparse elimination over F_p, checked on random matrices against sympy's
-rank over GF(p), and against an always-reduced echelon kept here as the
-oracle for the forward-only one and for the packed route at p = 2.
+rank over GF(p) and against the always-reduced echelon of
+``_linalg_oracle``, and the row builder against a plain sum mod p.
 
 Rows are drawn as {column: coefficient} dicts that may be empty and may hold
-zero, negative and >= p coefficients.
+zero, negative and >= p coefficients; ``kernel_basis`` receives them as
+``_linalg.rows`` builds them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _linalg_oracle import (OracleEchelon, oracle_kernel_basis, oracle_rref,
+                            sympy_rank_mod_p)
 from hopfmotives import _linalg
-from test_dual import sympy_rank_mod_p
 
 
 @st.composite
@@ -28,108 +30,97 @@ def sparse_matrices(draw):
     return p, ncols, rows
 
 
-class OracleEchelon:
-    """The reduced row echelon form of the rows added so far, kept fully
-    reduced after every ``add``: back-substitution at once, rows taken in
-    the order given."""
-
-    def __init__(self, ncols, p):
-        self.ncols = ncols
-        self.p = p
-        self.rows = {}  # pivot column -> row
-
-    def add(self, vec):
-        p, rows = self.p, self.rows
-        vec = dict(vec)
-        for j in [j for j in vec if j in rows]:
-            c = vec[j]
-            for k, y in rows[j].items():
-                vec[k] = vec.get(k, 0) - c * y
-        vec = {k: x % p for k, x in vec.items() if x % p}
-        if not vec:
-            return False
-        piv = min(vec)
-        inv = pow(vec[piv], -1, p)
-        new = {k: x * inv % p for k, x in vec.items()}
-        for row in [r for r in rows.values() if piv in r]:
-            c = row[piv]
-            for k, y in new.items():
-                x = (row.get(k, 0) - c * y) % p
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-        rows[piv] = new
-        return True
-
-    def kernel(self):
-        basis = {f: {f: 1} for f in range(self.ncols) if f not in self.rows}
-        for piv, row in self.rows.items():
-            for f, c in row.items():
-                if f != piv:
-                    basis[f][piv] = -c % self.p
-        return list(basis.values())
-
-
-def oracle_echelon(rows, ncols, p):
-    ech = OracleEchelon(ncols, p)
-    for row in rows:
-        ech.add(row)
-    return ech
-
-
-def oracle_rref(rows, ncols, p):
-    ech = oracle_echelon(rows, ncols, p)
-    pivots = sorted(ech.rows)
-    return [ech.rows[c] for c in pivots], pivots
-
-
-def oracle_kernel_basis(rows, ncols, p):
-    return oracle_echelon(rows, ncols, p).kernel()
+def built(rows, ncols, p):
+    """The rows as ``_linalg.rows`` builds them, one key per row."""
+    return _linalg.rows([(n, k, c) for n, row in enumerate(rows) for k, c in row.items()],
+                        ncols, p)
 
 
 def dense(row, ncols):
     return [row.get(k, 0) for k in range(ncols)]
 
 
-def packed(rows, ncols):
-    """The rows as the ints ``_linalg`` accepts at p = 2: column j at bit
-    ncols - 1 - j, set where the coefficient is odd; repeats kept."""
-    return [sum(1 << (ncols - 1 - k) for k, c in row.items() if c % 2) for row in rows]
-
-
 def rank(rows, ncols, p):
     return sympy_rank_mod_p([dense(r, ncols) for r in rows], p)
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_matrices())
-def test_rref_is_reduced_and_spans_the_rows(case):
-    p, ncols, rows = case
-    reduced, pivots = _linalg.rref(rows, ncols, p)
-    assert pivots == sorted(set(pivots)) and len(reduced) == len(pivots)
-    for row, pc in zip(reduced, pivots):
-        assert min(row) == pc and row[pc] == 1
-        assert all(0 < c < p for c in row.values())
-        assert not any(q in row for q in pivots if q != pc)
-    assert len(reduced) == rank(rows, ncols, p)
-    for vec in rows:
-        # in the span iff vec minus its pivot coefficients times the rows is 0
-        rest = dense(vec, ncols)
-        for row, pc in zip(reduced, pivots):
-            c = vec.get(pc, 0)
-            rest = [x - c * y for x, y in zip(rest, dense(row, ncols))]
-        assert not any(x % p for x in rest)
+def entries(kernel):
+    """Every vector as its list of items, so that == also compares the
+    order of the entries."""
+    return [list(v.items()) for v in kernel]
 
+
+# -- the row builder ---------------------------------------------------------------
+
+def plain_rows(stream, p):
+    """{key: {column: coefficient}}, the entries summed one by one mod p,
+    zero coefficients dropped, keys in first-seen order."""
+    out = {}
+    for key, j, c in stream:
+        row = out.setdefault(key, {})
+        row[j] = (row.get(j, 0) + c) % p
+    return {key: {j: c for j, c in row.items() if c} for key, row in out.items()}
+
+
+@st.composite
+def entry_streams(draw):
+    """(key, column, coefficient) entries at p = 2, 3 or 5 on up to 100
+    columns, so that rows packed at p = 2 cross CPython's 30-bit int digits.
+    Keys come from a few, so that most repeat; coefficients run outside
+    0..p-1; some entries are followed somewhere by one that cancels them
+    mod p; and the entries of one key may be copied under a new key, a
+    repeated row that only the builder can drop."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ncols = draw(st.integers(1, 100))
+    key = st.sampled_from(["a", "b", (0, "c"), 7])
+    entry = st.tuples(key, st.integers(0, ncols - 1), st.integers(-3 * p, 3 * p))
+    stream = draw(st.lists(entry, max_size=30))
+    for k, j, c in draw(st.lists(st.sampled_from(stream), max_size=6)) if stream else ():
+        stream.insert(draw(st.integers(0, len(stream))),
+                      (k, j, -c + p * draw(st.integers(-1, 1))))
+    if stream and draw(st.booleans()):
+        src = draw(st.sampled_from(stream))[0]
+        stream += [("copy", j, c) for k, j, c in stream if k == src]
+    return p, ncols, stream
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_streams())
+@example((2, 3, [("a", 0, 2), ("b", 1, 1), ("a", 2, -1), ("b", 1, 3), ("c", 2, 1)]))
+@example((3, 3, [("a", 0, 4), ("b", 0, 1), ("a", 1, 3), ("c", 2, -2), ("c", 2, 2)]))
+def test_rows_are_the_distinct_nonzero_sums_mod_p(case):
+    """One row per key, in first-seen order of the keys, each the plain
+    sum of its entries mod p; rows that sum to zero and repeats of an
+    earlier row are dropped.  At p = 2 a row is an int with column j at
+    bit ncols - 1 - j, otherwise a dict of coefficients in 1..p-1.  The
+    entries may come as a one-pass iterator."""
+    p, ncols, stream = case
+    want = []
+    for row in plain_rows(stream, p).values():
+        x = sum(1 << (ncols - 1 - j) for j in row) if p == 2 else row
+        if row and x not in want:
+            want.append(x)
+    got = _linalg.rows(iter(stream), ncols, p)
+    assert got == want
+    assert all(type(x) is (int if p == 2 else dict) for x in got)
+
+
+# -- kernels ------------------------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices())
 def test_kernel_basis_annihilates_the_rows(case):
+    """The kernel of the built rows has ncols - rank vectors, independent
+    and annihilating every row; it is reduced: vector f is 1 at its own
+    column f, its last, and 0 at every other vector's, in ascending f."""
     p, ncols, rows = case
-    kernel = _linalg.kernel_basis(rows, ncols, p)
+    kernel = _linalg.kernel_basis(built(rows, ncols, p), ncols, p)
     assert len(kernel) == ncols - rank(rows, ncols, p)
     assert rank(kernel, ncols, p) == len(kernel)
-    for v in kernel:
+    free = [max(v) for v in kernel]
+    assert free == sorted(set(free))
+    for v, f in zip(kernel, free):
+        assert v[f] == 1 and not any(g in v for g in free if g != f)
         assert all(0 < c < p for c in v.values())
         for row in rows:
             assert sum(c * v.get(k, 0) for k, c in row.items()) % p == 0
@@ -204,31 +195,26 @@ def test_add_closure_spans_the_least_closed_subspace(case, maps):
     assert len(new) == len(span) == rank(new, ncols, p)
 
 
-def entries(out):
-    """(rref, kernel) output with every row and vector as its list of items,
-    so that == also compares the order of the entries."""
-    (reduced, pivots), kernel = out
-    return ([list(r.items()) for r in reduced], pivots), [list(v.items()) for v in kernel]
-
-
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices(), st.randoms(use_true_random=False))
 @example((2, 6, [{0: 1, 3: 3, 5: 1}, {1: 1, 3: -1}, {}, {0: 3, 3: 1, 5: 5}, {2: 2}]),
          random.Random(0))
-def test_rref_and_kernel_do_not_depend_on_row_order(case, rnd):
+def test_kernel_does_not_depend_on_row_order_or_repeats(case, rnd):
+    """The rows built in any order, with every row given twice, or handed
+    to ``kernel_basis`` twice over, give the oracle's kernel, down to the
+    order of each vector's entries at p = 2."""
     p, ncols, rows = case
+    want = oracle_kernel_basis(rows, ncols, p)
+    first = _linalg.kernel_basis(built(rows, ncols, p), ncols, p)
+    assert first == want
     shuffled = rnd.sample(rows, len(rows))
-    want_rref = oracle_rref(rows, ncols, p)
-    want_kernel = oracle_kernel_basis(rows, ncols, p)
-    for order in (rows, shuffled, rows[::-1]):
-        got = _linalg.rref(order, ncols, p), _linalg.kernel_basis(order, ncols, p)
-        assert got == (want_rref, want_kernel)
-        if p == 2:
-            # the same rows handed over packed give the same output, down to
-            # the order of each row's and each vector's entries
-            pre = _linalg.rref(packed(order, ncols), ncols, 2), \
-                _linalg.kernel_basis(packed(order, ncols), ncols, 2)
-            assert entries(pre) == entries(got)
+    for order in (shuffled, rows[::-1], rows + shuffled):
+        system = built(order, ncols, p)
+        for got in (_linalg.kernel_basis(system, ncols, p),
+                    _linalg.kernel_basis(system[::-1] + system, ncols, p)):
+            assert got == want
+            if p == 2:
+                assert entries(got) == entries(first)
 
 
 @st.composite
@@ -250,26 +236,24 @@ def f2_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(f2_matrices())
-def test_f2_rref_and_kernel_match_the_oracle(case):
+def test_f2_kernel_matches_the_oracle(case):
+    """The built rows are distinct, and their kernel is the oracle's; each
+    vector holds its own column first, then the pivots it meets in
+    descending order."""
     ncols, rows = case
-    reduced, pivots = _linalg.rref(rows, ncols, 2)
-    kernel = _linalg.kernel_basis(rows, ncols, 2)
-    assert (reduced, pivots) == oracle_rref(rows, ncols, 2)
+    system = built(rows, ncols, 2)
+    assert len(set(system)) == len(system) and 0 not in system
+    kernel = _linalg.kernel_basis(system, ncols, 2)
     assert kernel == oracle_kernel_basis(rows, ncols, 2)
-    assert all(c == 1 for v in reduced + kernel for c in v.values())
-    # read off the packed rows, the kernel is what the unpacked rows give,
-    # down to the order of each vector's entries
-    unpacked = _linalg._kernel(_linalg._f2_reduced(rows, ncols), ncols, 2)
-    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in unpacked]
-    # handed over packed, repeats included, the rows give the same output
-    pre = _linalg.rref(packed(rows, ncols), ncols, 2), \
-        _linalg.kernel_basis(packed(rows, ncols), ncols, 2)
-    assert entries(pre) == entries(((reduced, pivots), kernel))
+    for v in kernel:
+        f, *pivots = v
+        assert f == max(v) and pivots == sorted(pivots, reverse=True)
+        assert all(c == 1 for c in v.values())
 
 
 @pytest.mark.parametrize("p, ncols, c", [(5, 40, 2), (2, 240, 3)],
                          ids=["p5", "p2"])
-def test_rref_of_a_larger_random_system_matches_the_oracle(p, ncols, c):
+def test_kernel_of_a_larger_random_system_matches_the_oracle(p, ncols, c):
     """A system of ncols rows plus half as many dependent ones, c * a - b
     for rows a and b (a + b over F_2), in three orders: 60 x 40 over F_5,
     and 360 x 240 over F_2, whose packed rows span eight 30-bit digits."""
@@ -278,7 +262,7 @@ def test_rref_of_a_larger_random_system_matches_the_oracle(p, ncols, c):
             for _ in range(ncols)]
     rows += [{k: c * a.get(k, 0) - b.get(k, 0) for k in set(a) | set(b)}
              for a, b in zip(rows, rows[1:ncols // 2 + 1])]
-    want = oracle_rref(rows, ncols, p), oracle_kernel_basis(rows, ncols, p)
+    want = oracle_kernel_basis(rows, ncols, p)
+    assert len(want) == ncols - len(oracle_rref(rows, ncols, p)[0])
     for order in (rows, rows[::-1], rnd.sample(rows, len(rows))):
-        assert (_linalg.rref(order, ncols, p),
-                _linalg.kernel_basis(order, ncols, p)) == want
+        assert _linalg.kernel_basis(built(order, ncols, p), ncols, p) == want

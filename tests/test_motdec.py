@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from _linalg_oracle import oracle_rref
 from hopfmotives import catalog
 from hopfmotives.algebra import Algebra
 from hopfmotives.comod import (quadric_comodule, restrict_comodule,
@@ -22,7 +23,6 @@ from hopfmotives.motdec import (closed_form_quadric_edges, direct_edges,
                                 twist_multiset)
 
 from test_comod import mixed_json_comodule, regular_comodule, trivial_line
-from test_linalg import oracle_rref
 
 
 def test_transitive_closure():
