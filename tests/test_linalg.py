@@ -128,6 +128,33 @@ def test_kernel_basis_annihilates_the_rows(case):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices())
+def test_rref_is_reduced_and_spans_the_rows(case):
+    """``Echelon.rows`` is the reduced row echelon form of the rows added:
+    one row per pivot, 1 at its pivot, its least column, and 0 at every
+    other pivot; as many rows as the rank, and every added row in their
+    span."""
+    p, ncols, rows = case
+    ech = _linalg.Echelon(ncols, p)
+    for row in rows:
+        ech.add(row)
+    pivots = sorted(ech.rows)
+    reduced = [ech.rows[pc] for pc in pivots]
+    for row, pc in zip(reduced, pivots):
+        assert min(row) == pc and row[pc] == 1
+        assert all(0 < c < p for c in row.values())
+        assert not any(q in row for q in pivots if q != pc)
+    assert len(reduced) == rank(rows, ncols, p)
+    for vec in rows:
+        # in the span iff vec minus its pivot coefficients times the rows is 0
+        rest = dense(vec, ncols)
+        for row, pc in zip(reduced, pivots):
+            c = vec.get(pc, 0)
+            rest = [x - c * y for x, y in zip(rest, dense(row, ncols))]
+        assert not any(x % p for x in rest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
 def test_echelon_add_reports_a_rank_increase(case):
     p, ncols, rows = case
     ech = _linalg.Echelon(ncols, p)
